@@ -15,7 +15,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from . import __version__
 from . import curation, featurizer, model, trainer
 from .evaluator import EmptySet, LengthMismatch, f1_report, predict
-from .labels import LABELS
 
 
 class UsageError(Exception):
@@ -34,7 +34,6 @@ RUNTIME_ERRORS = (
     featurizer.UnsupportedFormat,
     featurizer.CorruptFile,
     featurizer.EmptyClip,
-    curation.SampleRateMismatch,
     curation.SpeakerLeak,
     model.NonFiniteInput,
     model.NonFiniteActivation,
@@ -70,35 +69,43 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_CONFIG_TYPES = {
+    cls: typing.get_type_hints(cls)
+    for cls in (model.ModelConfig, trainer.TrainConfig, featurizer.FeaturizerConfig)
+}
+
+_KNOWN_KEYS = set().union(*_CONFIG_TYPES.values())
+
+
+def _parse_value(key: str, raw: str, typ):
+    """A config string parsed as its field's type; UsageError if it does not parse."""
+    args = typing.get_args(typ)
+    if type(None) in args:  # `T | None`
+        if raw.lower() in ("none", ""):
+            return None
+        typ = args[0]
+    if typ is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise UsageError(f"{key}: expected true/false/1/0/yes/no, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    try:
+        return typ(raw)
+    except ValueError:
+        raise UsageError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
+
+
 def _coerce(cls, overrides: dict[str, str]):
     """Build a config dataclass from its defaults plus string overrides."""
-    kwargs = {}
-    by_name = {f.name: f for f in fields(cls)}
-    for key, raw in overrides.items():
-        if key not in by_name:
-            continue
-        f = by_name[key]
-        if f.type == "int | None":
-            kwargs[key] = None if raw.lower() in ("none", "") else int(raw)
-        elif f.type == "int":
-            kwargs[key] = int(raw)
-        elif f.type == "float":
-            kwargs[key] = float(raw)
-        elif f.type == "bool":
-            kwargs[key] = raw.lower() in ("1", "true", "yes")
-        else:
-            kwargs[key] = raw
+    types = _CONFIG_TYPES[cls]
+    kwargs = {
+        key: _parse_value(key, raw, types[key]) for key, raw in overrides.items() if key in types
+    }
     try:
         return cls(**kwargs)
     except (ValueError, model.ShapeMismatch, featurizer.ConfigMismatch) as e:
         raise UsageError(str(e)) from e
-
-
-_KNOWN_KEYS = (
-    {f.name for f in fields(model.ModelConfig)}
-    | {f.name for f in fields(trainer.TrainConfig)}
-    | {f.name for f in fields(featurizer.FeaturizerConfig)}
-)
 
 
 def _resolve_configs(config_path: str | None):
@@ -106,12 +113,9 @@ def _resolve_configs(config_path: str | None):
     unknown = set(overrides) - _KNOWN_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        model_cfg = _coerce(model.ModelConfig, overrides)
-        train_cfg = _coerce(trainer.TrainConfig, overrides)
-        feat_cfg = _coerce(featurizer.FeaturizerConfig, overrides)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    model_cfg = _coerce(model.ModelConfig, overrides)
+    train_cfg = _coerce(trainer.TrainConfig, overrides)
+    feat_cfg = _coerce(featurizer.FeaturizerConfig, overrides)
     return model_cfg, train_cfg, feat_cfg, overrides
 
 
@@ -314,16 +318,11 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"checkpoint expects {model_cfg.n_mels} mel bins, featurizer config has {feat_cfg.n_mels}"
         )
-    rows = curation.read_split(args.test_manifest)
-    if not rows:
+    examples = _load_examples(args.test_manifest, feat_cfg)
+    if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")
-    logits_list = []
-    targets = []
-    for row in rows:
-        clip = featurizer.load_wav(row["path"])
-        spec = featurizer.featurize(clip, feat_cfg)
-        logits_list.append(model.forward(spec.values, registry, model_cfg))
-        targets.append(row["labels"])
+    logits_list = [model.forward(values, registry, model_cfg) for values, _ in examples]
+    targets = [tuple(int(b) for b in bits) for _, bits in examples]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .featurizer import SAMPLE_RATE, AudioClip, pad_or_truncate, save_wav
+from .featurizer import AudioClip, pad_or_truncate, save_wav
 from .labels import DISFLUENT_LABELS, LABELS, NO_STUTTER, bits_from_labels
 
 N_ANNOTATORS = 3
@@ -32,10 +32,6 @@ TARGET_SAMPLES = 2 * PART_SAMPLES
 PRUNED_LABELS = ("NaturalPause", "HardToUnderstand", "Speechless", "BadAudioQuality", "Music")
 
 SPEAKER_GROUPS = ("4-DS", "DS-Set 1", "DS-Set 2", "FB")
-
-
-class SampleRateMismatch(Exception):
-    """Clip audio is not sampled at 16 kHz."""
 
 
 class SpeakerLeak(Exception):
@@ -181,26 +177,13 @@ def clean(
 # ---------------------------------------------------------------------------
 # Pairing
 
-AudioLike = AudioClip | tuple[np.ndarray, int]
-
-
-def _clip_samples(clip_id: str, audio: AudioLike) -> np.ndarray:
-    if isinstance(audio, AudioClip):
-        samples, rate = audio.samples, audio.sample_rate
-    else:
-        samples, rate = np.asarray(audio[0], dtype=np.float64), int(audio[1])
-    if rate != SAMPLE_RATE:
-        raise SampleRateMismatch(f"clip {clip_id!r} sampled at {rate} Hz, need {SAMPLE_RATE}")
-    return samples
-
-
 def _compatible(a: ClipRecord, b: ClipRecord) -> bool:
     if a.label == b.label:
         return a.label == NO_STUTTER
     return a.label in DISFLUENT_LABELS and b.label in DISFLUENT_LABELS
 
 
-def pair(records: list[ClipRecord], audio: dict[str, AudioLike]) -> list[MultiStutterClip]:
+def pair(records: list[ClipRecord], audio: dict[str, AudioClip]) -> list[MultiStutterClip]:
     """Every ordered pair (A, B), A != B, from the same episode AND speaker
     whose labels are distinct disfluencies or both NoStutteredWords. Each
     part contributes its first 3 s (zero-padded if shorter), so every output
@@ -216,7 +199,7 @@ def pair(records: list[ClipRecord], audio: dict[str, AudioLike]) -> list[MultiSt
 
     def part(r: ClipRecord) -> np.ndarray:
         if r.clip_id not in half:
-            half[r.clip_id] = pad_or_truncate(_clip_samples(r.clip_id, audio[r.clip_id]), PART_SAMPLES)
+            half[r.clip_id] = pad_or_truncate(audio[r.clip_id].samples, PART_SAMPLES)
         return half[r.clip_id]
 
     out: list[MultiStutterClip] = []

@@ -35,9 +35,3 @@ def bits_from_labels(names: Iterable[str]) -> tuple[int, ...]:
         raise ValueError("NoStutteredWords cannot co-occur with a disfluency label")
     return tuple(bits)
 
-
-def labels_from_bits(bits: Iterable[int]) -> tuple[str, ...]:
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != N_CLASSES:
-        raise ValueError(f"expected {N_CLASSES} bits, got {len(bits)}")
-    return tuple(name for name, b in zip(LABELS, bits) if b)

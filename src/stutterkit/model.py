@@ -79,13 +79,25 @@ def encoder_layer_group(k: int) -> str:
     return f"encoder_layer_{k}"
 
 
+# Per-layer tensor key -> shape in symbols (d = d_model, f = d_ffn), in
+# registry order. The attention key projection carries no bias.
+_LAYER_TENSORS: dict[str, tuple[str, ...]] = {
+    "attn.q.w": ("d", "d"), "attn.q.b": ("d",), "attn.k.w": ("d", "d"),
+    "attn.v.w": ("d", "d"), "attn.v.b": ("d",), "attn.out.w": ("d", "d"), "attn.out.b": ("d",),
+    "attn_norm.gamma": ("d",), "attn_norm.beta": ("d",),
+    "ffn.w1": ("d", "f"), "ffn.b1": ("f",), "ffn.w2": ("f", "d"), "ffn.b2": ("d",),
+    "ffn_norm.gamma": ("d",), "ffn_norm.beta": ("d",),
+}
+
+
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, group) for every parameter, in registry order.
 
     Linear weights are stored [in, out] (y = x @ W + b); conv weights
     [out, in, kernel]. The attention key projection carries no bias.
     """
-    d, f, m = cfg.d_model, cfg.d_ffn, cfg.n_mels
+    d, m = cfg.d_model, cfg.n_mels
+    dims = {"d": d, "f": cfg.d_ffn}
     specs: list[tuple[str, tuple[int, ...], str]] = [
         ("conv1.w", (d, m, 3), FEATURE_EXTRACTOR),
         ("conv1.b", (d,), FEATURE_EXTRACTOR),
@@ -95,23 +107,9 @@ def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     ]
     for k in range(cfg.n_layers):
         g = encoder_layer_group(k)
-        p = f"layers.{k}"
         specs += [
-            (f"{p}.attn.q.w", (d, d), g),
-            (f"{p}.attn.q.b", (d,), g),
-            (f"{p}.attn.k.w", (d, d), g),
-            (f"{p}.attn.v.w", (d, d), g),
-            (f"{p}.attn.v.b", (d,), g),
-            (f"{p}.attn.out.w", (d, d), g),
-            (f"{p}.attn.out.b", (d,), g),
-            (f"{p}.attn_norm.gamma", (d,), g),
-            (f"{p}.attn_norm.beta", (d,), g),
-            (f"{p}.ffn.w1", (d, f), g),
-            (f"{p}.ffn.b1", (f,), g),
-            (f"{p}.ffn.w2", (f, d), g),
-            (f"{p}.ffn.b2", (d,), g),
-            (f"{p}.ffn_norm.gamma", (d,), g),
-            (f"{p}.ffn_norm.beta", (d,), g),
+            (f"layers.{k}.{key}", tuple(dims[s] for s in shape), g)
+            for key, shape in _LAYER_TENSORS.items()
         ]
     specs += [
         ("post_encoder_layernorm.gamma", (d,), HEAD),
@@ -144,12 +142,6 @@ class ParameterRegistry:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name].value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def entry(self, name: str) -> ParamEntry:
         return self._entries[name]
@@ -257,17 +249,8 @@ def apply_freeze(registry: ParameterRegistry, freeze: FreezeConfig) -> Parameter
     return registry
 
 
-def count_trainable(registry: ParameterRegistry, freeze: FreezeConfig | None = None) -> int:
-    """Trainable-parameter count under a freeze config (registry flags if None)."""
-    if freeze is None:
-        return sum(e.value.size for e in dict(registry.items()).values() if e.trainable)
-    return sum(
-        e.value.size for e in dict(registry.items()).values() if group_trainable(e.group, freeze)
-    )
-
-
 def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
-    """Shape-only version of count_trainable; no tensors are allocated."""
+    """Trainable-parameter count under a freeze config; no tensors are allocated."""
     return sum(
         int(np.prod(shape))
         for _, shape, group in param_specs(cfg)
@@ -467,13 +450,7 @@ def _conv_stem_bwd(dh, cache, registry):
 
 
 def _layer_tensors(registry: ParameterRegistry, k: int) -> dict[str, np.ndarray]:
-    p = f"layers.{k}"
-    keys = (
-        "attn.q.w", "attn.q.b", "attn.k.w", "attn.v.w", "attn.v.b",
-        "attn.out.w", "attn.out.b", "attn_norm.gamma", "attn_norm.beta",
-        "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_norm.gamma", "ffn_norm.beta",
-    )
-    return {key: registry[f"{p}.{key}"] for key in keys}
+    return {key: registry[f"layers.{k}.{key}"] for key in _LAYER_TENSORS}
 
 
 def _attn_sublayer_fwd(x, p, cfg):
@@ -658,27 +635,31 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
         f.write(b"".join(chunks))
 
 
-def _group_of(name: str) -> str:
-    if name.startswith("conv") or name == "embed_positions":
-        return FEATURE_EXTRACTOR
-    if name.startswith("layers."):
-        return encoder_layer_group(int(name.split(".")[1]))
-    return HEAD
-
-
 def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
+    """Registry laid out by param_specs(config), read from a checkpoint.
+
+    Raises ShapeMismatch unless the stored tensor names and shapes are
+    exactly those of the stored config's layout."""
     with open(path, "rb") as f:
         manifest = json.loads(f.readline())
         blob = f.read()
     cfg = ModelConfig(**manifest["config"])
+    specs = param_specs(cfg)
+    found = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
+    layout = [(name, shape) for name, shape, _ in specs]
+    if sorted(found) != sorted(layout):
+        raise ShapeMismatch(
+            f"checkpoint {path} does not match its config's layout: unexpected "
+            f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
+        )
+    stored = {desc["name"]: desc for desc in manifest["tensors"]}
     reg = ParameterRegistry()
-    for desc in manifest["tensors"]:
-        shape = tuple(desc["shape"])
-        size = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        start = desc["offset"]
+    for name, shape, group in specs:
+        size = 4 * int(np.prod(shape))
+        start = stored[name]["offset"]
         raw = blob[start : start + size]
         if len(raw) != size:
-            raise ValueError(f"checkpoint blob truncated at tensor {desc['name']!r}")
+            raise ValueError(f"checkpoint blob truncated at tensor {name!r}")
         value = np.frombuffer(raw, dtype="<f4").astype(DTYPE).reshape(shape)
-        reg.add(desc["name"], value, _group_of(desc["name"]), desc["trainable"])
+        reg.add(name, value, group, stored[name]["trainable"])
     return reg, cfg

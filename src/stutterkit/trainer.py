@@ -66,15 +66,11 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Optimizer moments plus loop bookkeeping, keyed like the registry."""
+    """Adam moments keyed like the registry, plus the optimizer step count."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    epoch: int = 0
-    best_validation_metric: float = -np.inf
-    epochs_since_improvement: int = 0
-    rng_state: np.random.Generator | None = None
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -231,13 +227,14 @@ def fit(
     if freeze is not None:
         apply_freeze(registry, freeze)
     state = TrainState()
-    state.rng_state = np.random.default_rng(train_cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(train_cfg.seed if seed is None else seed)
     best_registry = registry.copy()
+    best_score = -np.inf
+    epochs_since_improvement = 0
     history: list[dict] = []
     steps_exhausted = False
     for epoch in range(train_cfg.max_epochs):
-        state.epoch = epoch
-        order = state.rng_state.permutation(len(train_examples))
+        order = rng.permutation(len(train_examples))
         epoch_losses = []
         for start in range(0, len(order), train_cfg.batch_size):
             if train_cfg.max_steps is not None and state.step >= train_cfg.max_steps:
@@ -249,13 +246,13 @@ def fit(
             val_examples, registry, model_cfg, train_cfg.threshold
         )
         score = _epoch_score(train_cfg.early_stop_metric, val_loss, report.macro_f1)
-        improved = score > state.best_validation_metric
+        improved = score > best_score
         if improved:
-            state.best_validation_metric = score
+            best_score = score
             best_registry = registry.copy()
-            state.epochs_since_improvement = 0
+            epochs_since_improvement = 0
         else:
-            state.epochs_since_improvement += 1
+            epochs_since_improvement += 1
         history.append(
             {
                 "epoch": epoch,
@@ -270,7 +267,7 @@ def fit(
             }
         )
         if steps_exhausted or (
-            not improved and state.epochs_since_improvement >= train_cfg.early_stop_patience
+            not improved and epochs_since_improvement >= train_cfg.early_stop_patience
         ):
             break
     return best_registry, history

@@ -333,3 +333,12 @@ def curation_fixture(root, speakers=("spkA", "spkB", "spkC", "spkD"),
 
 def write_config_file(path, **keys) -> None:
     path.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
+
+
+def edit_checkpoint_tensors(src, dst, edit) -> None:
+    """Copy checkpoint src to dst with `edit` applied to its tensor
+    descriptors; the tensor blob is copied unchanged."""
+    header, blob = src.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    edit(manifest["tensors"])
+    dst.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)

@@ -266,7 +266,7 @@ def test_criterion_5_curation(tmp_path):
             r.label = label
             records.append(r)
             tone = 0.4 * np.sin(2.0 * np.pi * (250.0 + 60.0 * i) * np.arange(56000) / 16000.0)
-            audio[r.clip_id] = (tone, 16000)
+            audio[r.clip_id] = AudioClip(tone)
         pairs = curation.pair(records, audio)
         assert len(pairs) == 20
         counts = {}

@@ -8,7 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import curation_fixture, write_config_file, write_tone_wav
+from helpers import (
+    curation_fixture,
+    edit_checkpoint_tensors,
+    write_config_file,
+    write_tone_wav,
+)
 from stutterkit import curation, featurizer, model
 from stutterkit.cli import main
 
@@ -153,6 +158,22 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     rc = main(["featurize", str(in_dir), str(tmp_path / "out"), "--config", str(cfg)])
     assert rc == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, want_rc",
+    [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0)],
+)
+def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_tone_wav(in_dir / "c.wav", 1.0, 440.0)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    rc = main(["featurize", str(in_dir), str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == want_rc
+    if want_rc == 2:
+        assert line.split("=")[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +366,20 @@ def test_eval_empty_manifest_is_usage_error(pipeline, tmp_path, capsys):
         "--config", str(cfg_path),
     ])
     assert rc == 2
+
+
+def test_eval_checkpoint_outside_config_layout_exits_one(pipeline, tmp_path, capsys):
+    root, data_dir, cfg_path, run_dir = pipeline
+    renamed = tmp_path / "renamed.bin"
+    edit_checkpoint_tensors(
+        run_dir / "checkpoint.bin", renamed, lambda t: t[0].update(name="conv1.weight")
+    )
+    rc = main([
+        "eval", str(renamed), str(data_dir / "test" / "manifest.csv"), str(tmp_path / "x"),
+        "--config", str(cfg_path),
+    ])
+    assert rc == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
 
 
 def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):

@@ -16,7 +16,6 @@ from stutterkit.curation import (
     TARGET_SAMPLES,
     ClipRecord,
     MultiStutterClip,
-    SampleRateMismatch,
     SpeakerLeak,
     SplitPlan,
     balance_no_stutter,
@@ -30,7 +29,7 @@ from stutterkit.curation import (
     write_count_report,
     write_split,
 )
-from stutterkit.featurizer import load_wav
+from stutterkit.featurizer import AudioClip, load_wav
 from stutterkit.labels import DISFLUENT_LABELS, LABELS, NO_STUTTER
 
 
@@ -47,7 +46,7 @@ def _rec(clip_id, votes, duration=4.0, n_speakers=1, episode="ep0", speaker="s0"
 
 def _tone(freq, seconds=3.0):
     t = np.arange(int(seconds * 16000)) / 16000.0
-    return (0.4 * np.sin(2 * np.pi * freq * t), 16000)
+    return AudioClip(0.4 * np.sin(2 * np.pi * freq * t))
 
 
 def _cleaned(clip_id, label, episode="ep0", speaker="s0"):
@@ -216,8 +215,8 @@ def test_pair_requires_same_episode_and_speaker():
 def test_pair_concatenation_geometry():
     # left clip 2 s (padded), right clip 4 s (truncated)
     records = [_cleaned("l", "Block"), _cleaned("r", "WordRep")]
-    left = (np.full(32000, 0.25), 16000)
-    right = (np.full(64000, -0.25), 16000)
+    left = AudioClip(np.full(32000, 0.25))
+    right = AudioClip(np.full(64000, -0.25))
     pairs = pair(records, {"l": left, "r": right})
     by_key = {p.combination_key: p for p in pairs}
     p = by_key["Block_WordRep_"]
@@ -242,13 +241,6 @@ def test_pair_union_labels_for_every_combination():
         )
         assert p.labels == want
         assert sum(p.labels) == 2
-
-
-def test_pair_sample_rate_mismatch():
-    records = [_cleaned("a", "Block"), _cleaned("b", "WordRep")]
-    audio = {"a": _tone(300), "b": (np.zeros(48000), 22050)}
-    with pytest.raises(SampleRateMismatch):
-        pair(records, audio)
 
 
 def test_pair_requires_cleaned_records():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    edit_checkpoint_tensors,
     naive_conv1d,
     oracle_encoder_layer,
     oracle_forward,
@@ -28,7 +29,6 @@ from stutterkit.model import (
     attention_core,
     build_registry,
     conv_stem,
-    count_trainable,
     encoder_layer_forward,
     ffn,
     forward,
@@ -475,7 +475,8 @@ def test_count_trainable_registry_and_shape_only_agree():
     for spec in ("UnFrz0-5", "Frz0-2", "Frz0-2+FrzFE", "Frz0-5+FrzFE"):
         fc = parse_freeze_spec(spec)
         apply_freeze(reg, fc)
-        assert count_trainable(reg) == count_trainable(reg, fc) == trainable_parameter_count(cfg, fc)
+        flagged = sum(e.value.size for _, e in reg.items() if e.trainable)
+        assert flagged == trainable_parameter_count(cfg, fc)
 
 
 def test_count_trainable_monotone_in_freeze_set():
@@ -529,6 +530,26 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t[0].update(name="conv1.weight"),
+        lambda t: t.pop(),
+        lambda t: t.append(dict(t[-1], name="classifier.extra")),
+        # classifier.w [d_proj, 6] -> [6, d_proj]: same byte count, wrong layout
+        lambda t: t[-2].update(shape=t[-2]["shape"][::-1]),
+    ],
+    ids=["renamed", "missing", "extra", "misshaped"],
+)
+def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
+    cfg = TINY
+    path = tmp_path / "e.ckpt"
+    save_checkpoint(path, build_registry(cfg, seed=35), cfg)
+    edit_checkpoint_tensors(path, path, edit)
+    with pytest.raises(ShapeMismatch):
         load_checkpoint(path)
 
 
