@@ -38,6 +38,7 @@ RUNTIME_ERRORS = (
     model.NonFiniteInput,
     model.NonFiniteActivation,
     model.ShapeMismatch,
+    model.CorruptCheckpoint,
     trainer.NonFiniteGradient,
     EmptySet,
     LengthMismatch,

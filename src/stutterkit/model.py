@@ -10,19 +10,27 @@ feature_extractor / encoder_layer_k / head so freezing strategies can be
 expressed as group predicates. Forward passes are pure reads of the registry;
 backward_pass returns gradients for every parameter given the cache recorded
 by forward_with_cache.
+
+Compute follows the registry's dtype: the public entry points cast their
+inputs to it and every intermediate, cache entry and gradient stays in it.
+build_registry defaults to float32 (DTYPE), the checkpoint's storage dtype,
+so a saved model is bit-for-bit the one that was trained and validated; the
+oracle tests build float64 registries.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
-DTYPE = np.float64
+DTYPE = np.float32  # build_registry's default and the checkpoint's storage dtype
 LN_EPS = 1e-5
 
 FEATURE_EXTRACTOR = "feature_extractor"
@@ -45,6 +53,10 @@ class FreezeSpecError(ValueError):
     """Freeze spec string does not match the UnFrz/Frz grammar."""
 
 
+class CorruptCheckpoint(ValueError):
+    """Checkpoint header or tensor blob is not one save_checkpoint writes."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int = 512
@@ -60,6 +72,9 @@ class ModelConfig:
     attention_key_bias: bool = False
 
     def __post_init__(self) -> None:
+        sizes = ("d_model", "n_layers", "n_heads", "d_ffn", "n_mels", "max_positions", "d_proj")
+        if any(getattr(self, name) < 1 for name in sizes):
+            raise ValueError(f"{', '.join(n for n in sizes if getattr(self, n) < 1)} must be >= 1")
         if self.attention_key_bias:
             # the parameter accounting (3,151,872 per layer) assumes none
             raise ValueError("a bias on the attention key projection is not supported")
@@ -130,15 +145,31 @@ class ParamEntry:
 
 
 class ParameterRegistry:
-    """Ordered name -> (tensor, group, trainable) map for every model parameter."""
+    """Ordered name -> (tensor, group, trainable) map for every model parameter.
+
+    All tensors share one floating dtype, which is the model's compute dtype."""
 
     def __init__(self) -> None:
         self._entries: dict[str, ParamEntry] = {}
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every tensor (DTYPE while the registry is empty)."""
+        for e in self._entries.values():
+            return e.value.dtype
+        return np.dtype(DTYPE)
+
     def add(self, name: str, value: np.ndarray, group: str, trainable: bool = True) -> None:
+        """Store `value` as is if it is floating (non-floating values become
+        DTYPE); ValueError on a duplicate name or a second dtype."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self._entries[name] = ParamEntry(np.asarray(value, dtype=DTYPE), group, trainable)
+        value = np.asarray(value)
+        if not np.issubdtype(value.dtype, np.floating):
+            value = value.astype(DTYPE)
+        if self._entries and value.dtype != self.dtype:
+            raise ValueError(f"parameter {name!r} is {value.dtype}; the registry holds {self.dtype}")
+        self._entries[name] = ParamEntry(value, group, trainable)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name].value
@@ -166,18 +197,21 @@ def sinusoidal_positions(n_pos: int, d: int) -> np.ndarray:
     """[n_pos x d] table: column 2i holds sin(pos / 10000^(2i/d)), column 2i+1 the cosine."""
     if d % 2:
         raise ShapeMismatch("embedding dimension must be even")
-    pos = np.arange(n_pos, dtype=DTYPE)[:, None]
-    i = np.arange(d // 2, dtype=DTYPE)[None, :]
+    pos = np.arange(n_pos, dtype=np.float64)[:, None]
+    i = np.arange(d // 2, dtype=np.float64)[None, :]
     angles = pos / 10000.0 ** (2.0 * i / d)
-    table = np.empty((n_pos, d), dtype=DTYPE)
+    table = np.empty((n_pos, d))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
     return table
 
 
-def build_registry(cfg: ModelConfig, seed: int = 0) -> ParameterRegistry:
+def build_registry(cfg: ModelConfig, seed: int = 0, dtype=DTYPE) -> ParameterRegistry:
     """Initialize all parameters: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for
-    affine maps, ones/zeros for norms, a fixed sinusoid table for positions."""
+    affine maps, ones/zeros for norms, a fixed sinusoid table for positions.
+
+    Values are drawn in float64 and then cast to `dtype`, so registries of
+    one seed in two dtypes hold one model up to rounding."""
     rng = np.random.default_rng(seed)
     reg = ParameterRegistry()
     bounds: dict[str, float] = {}
@@ -185,9 +219,9 @@ def build_registry(cfg: ModelConfig, seed: int = 0) -> ParameterRegistry:
         if name == "embed_positions":
             value = sinusoidal_positions(cfg.max_positions, cfg.d_model)
         elif name.endswith(".gamma"):
-            value = np.ones(shape, dtype=DTYPE)
+            value = np.ones(shape)
         elif name.endswith(".beta"):
-            value = np.zeros(shape, dtype=DTYPE)
+            value = np.zeros(shape)
         else:
             stem, leaf = name.rsplit(".", 1)
             if leaf.startswith("w"):
@@ -197,7 +231,7 @@ def build_registry(cfg: ModelConfig, seed: int = 0) -> ParameterRegistry:
             else:
                 bound = bounds[name]
             value = rng.uniform(-bound, bound, size=shape)
-        reg.add(name, value, group)
+        reg.add(name, value.astype(dtype), group)
     return reg
 
 
@@ -261,8 +295,9 @@ def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
 # ---------------------------------------------------------------------------
 # Primitive ops (forward + backward pairs)
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy float64 scalars, which would upcast float32 arrays.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -278,7 +313,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0).astype(DTYPE)
+    return (x > 0).astype(x.dtype)
 
 
 _ACT = {"gelu": (gelu, gelu_grad), "relu": (relu, relu_grad)}
@@ -348,7 +383,7 @@ def _conv1d_bwd(dy, cols, x_shape, w, stride, padding):
     dw = (dy_t.T @ cols).reshape(c_out, c_in, k)
     db = dy_t.sum(axis=0)
     dcols = (dy_t @ w.reshape(c_out, -1)).reshape(t_out, c_in, k)
-    dxp = np.zeros((c_in, t + 2 * padding))
+    dxp = np.zeros((c_in, t + 2 * padding), dtype=dy.dtype)
     offsets = np.arange(t_out) * stride
     for j in range(k):
         dxp[:, offsets + j] += dcols[:, :, j].T
@@ -370,7 +405,7 @@ def _attention_core_fwd(q, k, v, n_heads):
     """Scaled dot-product attention per head; heads concatenated (no output
     projection). Each softmax row sums to 1."""
     q3, k3, v3 = (_split_heads(a, n_heads) for a in (q, k, v))
-    scale = 1.0 / np.sqrt(q3.shape[-1])
+    scale = 1.0 / math.sqrt(q3.shape[-1])
     probs = softmax(q3 @ k3.transpose(0, 2, 1) * scale, axis=-1)
     ctx3 = probs @ v3
     return _merge_heads(ctx3), (q3, k3, v3, probs, scale)
@@ -424,7 +459,7 @@ def ffn(x: np.ndarray, w1, b1, w2, b2, activation: str = "gelu") -> np.ndarray:
 
 def conv_stem(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:
     """[n_mels x T] -> [T/2 x d_model]: conv(k3,s1,p1) + GELU, conv(k3,s2,p1) + GELU."""
-    out, _ = _conv_stem_fwd(spec_values, registry, cfg)
+    out, _ = _conv_stem_fwd(np.asarray(spec_values, dtype=registry.dtype), registry, cfg)
     return out
 
 
@@ -498,6 +533,7 @@ def encoder_layer_forward(
 ) -> np.ndarray:
     """One encoder layer. post: z = LN(y + FFN(y)), y = LN(x + Attn(x)).
     pre: z = y + FFN(LN(y)), y = x + Attn(LN(x))."""
+    x = np.asarray(x, dtype=registry.dtype)
     out, _ = _encoder_layer_fwd(x, _layer_tensors(registry, layer), cfg)
     return out
 
@@ -566,7 +602,7 @@ def forward(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConf
 
 
 def forward_with_cache(spec_values, registry, cfg):
-    x = np.asarray(spec_values, dtype=DTYPE)
+    x = np.asarray(spec_values, dtype=registry.dtype)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite values in input spectrogram")
     h, stem_cache = _conv_stem_fwd(x, registry, cfg)
@@ -589,10 +625,11 @@ def forward_with_cache(spec_values, registry, cfg):
 
 
 def backward_pass(dlogits, cache, registry, cfg):
-    """Gradients for every parameter given d loss / d logits and a forward cache."""
+    """Gradients for every parameter given d loss / d logits and a forward
+    cache, in the registry's dtype."""
     stem_cache, n_pos, layer_caches, ln_cache, t_rows, pooled, u = cache
     grads: dict[str, np.ndarray] = {}
-    dlogits = np.asarray(dlogits, dtype=DTYPE)
+    dlogits = np.asarray(dlogits, dtype=registry.dtype)
     grads["classifier.w"] = np.outer(u, dlogits)
     grads["classifier.b"] = dlogits
     du = registry["classifier.w"] @ dlogits
@@ -635,31 +672,78 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
         f.write(b"".join(chunks))
 
 
-def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
-    """Registry laid out by param_specs(config), read from a checkpoint.
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
 
-    Raises ShapeMismatch unless the stored tensor names and shapes are
-    exactly those of the stored config's layout."""
-    with open(path, "rb") as f:
-        manifest = json.loads(f.readline())
-        blob = f.read()
-    cfg = ModelConfig(**manifest["config"])
-    specs = param_specs(cfg)
-    found = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
-    layout = [(name, shape) for name, shape, _ in specs]
-    if sorted(found) != sorted(layout):
-        raise ShapeMismatch(
-            f"checkpoint {path} does not match its config's layout: unexpected "
-            f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
+
+def _descriptor_ok(desc) -> bool:
+    return (
+        isinstance(desc, dict)
+        and isinstance(desc.get("name"), str)
+        and isinstance(desc.get("shape"), list)
+        and all(type(n) is int for n in desc["shape"])
+        and type(desc.get("offset")) is int
+        and desc["offset"] >= 0
+        and type(desc.get("trainable")) is bool
+    )
+
+
+def _read_config(manifest) -> ModelConfig:
+    """The manifest's ModelConfig; CorruptCheckpoint unless it stores exactly
+    ModelConfig's fields, each of its field's type, and passes validation."""
+    config = manifest.get("config")
+    if not isinstance(config, dict) or set(config) != set(_CONFIG_TYPES):
+        raise CorruptCheckpoint(
+            f"config keys must be exactly {sorted(_CONFIG_TYPES)}, got "
+            f"{sorted(config) if isinstance(config, dict) else type(config).__name__}"
         )
-    stored = {desc["name"]: desc for desc in manifest["tensors"]}
-    reg = ParameterRegistry()
-    for name, shape, group in specs:
-        size = 4 * int(np.prod(shape))
-        start = stored[name]["offset"]
-        raw = blob[start : start + size]
-        if len(raw) != size:
-            raise ValueError(f"checkpoint blob truncated at tensor {name!r}")
-        value = np.frombuffer(raw, dtype="<f4").astype(DTYPE).reshape(shape)
-        reg.add(name, value, group, stored[name]["trainable"])
+    bad = sorted(k for k, typ in _CONFIG_TYPES.items() if type(config[k]) is not typ)
+    if bad:
+        raise CorruptCheckpoint(f"config values of the wrong type: {bad}")
+    try:
+        return ModelConfig(**config)
+    except (ValueError, ShapeMismatch) as e:
+        raise CorruptCheckpoint(f"invalid config: {e}") from e
+
+
+def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
+    """Float32 registry laid out by param_specs(config), read from a checkpoint.
+
+    Raises CorruptCheckpoint if the header is not the JSON object
+    save_checkpoint writes (config and tensor descriptors), if the config is
+    not exactly a valid ModelConfig, or if the blob is truncated or has bytes
+    after its last tensor; ShapeMismatch unless the stored tensor names and
+    shapes are exactly those of the config's layout."""
+    with open(path, "rb") as f:
+        try:
+            manifest = json.loads(f.readline())
+        except ValueError as e:  # also UnicodeDecodeError
+            raise CorruptCheckpoint(f"checkpoint {path}: header is not JSON: {e}") from e
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+            raise CorruptCheckpoint(f"checkpoint {path}: header lacks a tensor list")
+        cfg = _read_config(manifest)
+        if not all(_descriptor_ok(desc) for desc in manifest["tensors"]):
+            raise CorruptCheckpoint(f"checkpoint {path}: malformed tensor descriptor")
+        specs = param_specs(cfg)
+        found = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
+        layout = [(name, shape) for name, shape, _ in specs]
+        if sorted(found) != sorted(layout):
+            raise ShapeMismatch(
+                f"checkpoint {path} does not match its config's layout: unexpected "
+                f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
+            )
+        base = f.tell()
+        blob_size = f.seek(0, os.SEEK_END) - base
+        stored = {desc["name"]: desc for desc in manifest["tensors"]}
+        reg = ParameterRegistry()
+        end = 0
+        for name, shape, group in specs:
+            value = np.empty(shape, dtype="<f4")
+            start = stored[name]["offset"]
+            end = max(end, start + value.nbytes)
+            f.seek(base + start)
+            if start + value.nbytes > blob_size or f.readinto(value) != value.nbytes:
+                raise CorruptCheckpoint(f"checkpoint blob truncated at tensor {name!r}")
+            reg.add(name, value, group, stored[name]["trainable"])
+    if blob_size > end:
+        raise CorruptCheckpoint(f"checkpoint {path}: {blob_size - end} bytes after the last tensor")
     return reg, cfg

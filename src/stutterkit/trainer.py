@@ -6,6 +6,11 @@ A training example is (spectrogram values [n_mels x T], label bits [6]).
 Gradients are averaged over the batch AND the six classes, so the loss is
 the mean element-wise BCE. Frozen parameters receive no updates and keep
 their initial values bit-for-bit.
+
+Gradients and Adam moments are in the registry's dtype (float32 for
+registries from build_registry's default). The six-element loss and its
+gradient with respect to the logits are computed in float64; backward_pass
+casts that gradient to the registry's dtype.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import numpy as np
 
 from .evaluator import EvalReport, f1_report, predict
 from .model import (
-    DTYPE,
     FreezeConfig,
     ModelConfig,
     ParameterRegistry,
@@ -85,8 +89,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean element-wise binary cross-entropy, computed in the overflow-safe
     form max(z,0) - z*y + log(1 + exp(-|z|))."""
-    z = np.asarray(logits, dtype=DTYPE)
-    y = np.asarray(targets, dtype=DTYPE)
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
     if z.shape != y.shape:
         raise ValueError(f"logits shape {z.shape} != targets shape {y.shape}")
     per_element = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
@@ -95,8 +99,8 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """d(mean BCE)/d logits = (sigmoid(z) - y) / N, N = total element count."""
-    z = np.asarray(logits, dtype=DTYPE)
-    y = np.asarray(targets, dtype=DTYPE)
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
     return (sigmoid(z) - y) / z.size
 
 
@@ -116,9 +120,10 @@ def backward(
     total_loss = 0.0
     for values, bits in batch:
         logits, cache = forward_with_cache(values, registry, cfg)
-        y = np.asarray(bits, dtype=DTYPE)
-        total_loss += bce_with_logits(logits, y)
-        dlogits = (sigmoid(logits) - y) / (logits.size * n)
+        z = logits.astype(np.float64)
+        y = np.asarray(bits, dtype=np.float64)
+        total_loss += bce_with_logits(z, y)
+        dlogits = (sigmoid(z) - y) / (z.size * n)
         example_grads = backward_pass(dlogits, cache, registry, cfg)
         for name in trainable:
             grads[name] += example_grads[name]
@@ -187,7 +192,7 @@ def evaluate_split(
     targets = []
     for values, bits in examples:
         logits, _ = forward_with_cache(values, registry, model_cfg)
-        y = np.asarray(bits, dtype=DTYPE)
+        y = np.asarray(bits, dtype=np.float64)
         losses.append(bce_with_logits(logits, y))
         preds.append(predict(logits, threshold))
         targets.append(tuple(int(b) for b in bits))

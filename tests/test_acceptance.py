@@ -4,6 +4,9 @@ runtime budget in the docstring and asserts the wall clock stays inside it.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from helpers import (
     tiny_model_config,
     write_config_file,
 )
+import stutterkit
 from stutterkit import curation, featurizer, model, trainer
 from stutterkit.cli import main
 from stutterkit.evaluator import f1_report
@@ -100,7 +104,7 @@ def test_criterion_2a_gradient_correctness():
         for placement in ("pre", "post"):
             for activation in ("gelu", "relu"):
                 cfg = tiny_model_config(norm_placement=placement, ffn_activation=activation)
-                reg = build_registry(cfg, seed=1)
+                reg = build_registry(cfg, seed=1, dtype=np.float64)
                 _, grads = backward(batch, reg, cfg)
 
                 def loss_fn():
@@ -362,3 +366,72 @@ def test_criterion_6_determinism(tmp_path):
         assert mismatched == []
         history = (tmp_path / "one" / "run" / "history.jsonl").read_text().splitlines()
         assert json.loads(history[-1])["step"] == 50  # the 50-step cap was hit
+
+
+# The criterion-6 fixture, curated once for the checks below.
+CRITERION_6_CONFIG = dict(
+    d_model=16, n_layers=2, n_heads=2, d_ffn=32, n_mels=12,
+    max_positions=256, d_proj=12, chunk_length_s=3.0,
+    learning_rate=0.001, batch_size=4, max_epochs=50,
+    early_stop_patience=10, max_steps=50,
+)
+
+
+@pytest.fixture(scope="module")
+def criterion_6_splits(tmp_path_factory):
+    root = tmp_path_factory.mktemp("criterion_6")
+    inventory, audio_dir, groups = curation_fixture(root / "src")
+    cfg_path = root / "tiny.cfg"
+    write_config_file(cfg_path, **CRITERION_6_CONFIG)
+    rc = main([
+        "curate", str(inventory), str(audio_dir), str(root / "curated"),
+        "--plan", "SEP-28k-E-merged", "--groups", str(groups), "--seed", "11",
+    ])
+    assert rc == 0
+    return root / "curated", cfg_path
+
+
+def _train_argv(curated: Path, cfg_path: Path, out_dir: Path) -> list[str]:
+    return [
+        "train", str(curated / "train" / "manifest.csv"), str(curated / "val" / "manifest.csv"),
+        str(out_dir), "--config", str(cfg_path), "--freeze", "Frz0-0+FrzFE", "--seed", "11",
+    ]
+
+
+def test_eval_reproduces_best_validation_row(criterion_6_splits, tmp_path):
+    """`eval` of the saved checkpoint on the validation manifest scores
+    exactly the micro, macro and weighted F1 of the history row whose epoch
+    was kept. Budget 2 min."""
+    curated, cfg_path = criterion_6_splits
+    with Budget(120.0):
+        assert main(_train_argv(curated, cfg_path, tmp_path / "run")) == 0
+        rc = main([
+            "eval", str(tmp_path / "run" / "checkpoint.bin"),
+            str(curated / "val" / "manifest.csv"), str(tmp_path / "eval"),
+            "--config", str(cfg_path), "--threshold", "0.5",
+        ])
+        assert rc == 0
+    rows = [json.loads(line) for line in (tmp_path / "run" / "history.jsonl").open()]
+    best = [row for row in rows if row["improved"]][-1]
+    report = json.loads((tmp_path / "eval" / "eval_t0.5.json").read_text())
+    got = (report["micro_f1"], report["macro_f1"], report["weighted_f1"])
+    assert got == (best["val_micro"], best["val_macro"], best["val_weighted"])
+
+
+def test_train_identical_across_blas_thread_counts(criterion_6_splits, tmp_path):
+    """The criterion-6 `train`, run in child processes with one and with two
+    BLAS threads, writes byte-identical checkpoints and histories. Budget
+    3 min."""
+    curated, cfg_path = criterion_6_splits
+    package_root = str(Path(stutterkit.__file__).resolve().parents[1])
+    with Budget(180.0):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+            )
+            argv = _train_argv(curated, cfg_path, tmp_path / threads)
+            subprocess.run([sys.executable, "-m", "stutterkit.cli", *argv],
+                           env=env, check=True, capture_output=True)
+    for name in ("checkpoint.bin", "history.jsonl"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -162,7 +162,8 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, want_rc",
-    [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0)],
+    [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
+     ("n_heads=0", 2)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -380,6 +381,18 @@ def test_eval_checkpoint_outside_config_layout_exits_one(pipeline, tmp_path, cap
     ])
     assert rc == 1
     assert "ShapeMismatch" in capsys.readouterr().err
+
+
+def test_eval_corrupt_checkpoint_exits_one(pipeline, tmp_path, capsys):
+    root, data_dir, cfg_path, run_dir = pipeline
+    padded = tmp_path / "padded.bin"
+    padded.write_bytes((run_dir / "checkpoint.bin").read_bytes() + b"\0" * 4)
+    rc = main([
+        "eval", str(padded), str(data_dir / "test" / "manifest.csv"), str(tmp_path / "x"),
+        "--config", str(cfg_path),
+    ])
+    assert rc == 1
+    assert "CorruptCheckpoint" in capsys.readouterr().err
 
 
 def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):

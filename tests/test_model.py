@@ -2,6 +2,7 @@
 layers, whole-model forward against an independent oracle, registry layout,
 freezing, and checkpoint serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import (
 from stutterkit.model import (
     FEATURE_EXTRACTOR,
     HEAD,
+    CorruptCheckpoint,
     FreezeConfig,
     FreezeSpecError,
     ModelConfig,
@@ -27,6 +29,7 @@ from stutterkit.model import (
     apply_freeze,
     attention,
     attention_core,
+    backward_pass,
     build_registry,
     conv_stem,
     encoder_layer_forward,
@@ -97,7 +100,7 @@ def test_conv_stem_zero_propagation():
 def test_conv_stem_matches_naive_convolution():
     cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=8, n_mels=80,
                       max_positions=4, d_proj=8)
-    reg = build_registry(cfg, seed=4)
+    reg = build_registry(cfg, seed=4, dtype=np.float64)
     x = np.random.default_rng(1).uniform(-1, 1, size=(80, 4))
     got = conv_stem(x, reg, cfg)
     z1 = naive_conv1d(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)
@@ -137,7 +140,7 @@ def test_sinusoid_formula_values():
 
 
 def test_registry_positions_are_sinusoid():
-    reg = build_registry(TINY, seed=9)
+    reg = build_registry(TINY, seed=9, dtype=np.float64)
     assert np.array_equal(
         reg["embed_positions"], sinusoidal_positions(TINY.max_positions, TINY.d_model)
     )
@@ -297,7 +300,7 @@ def test_encoder_layer_post_zero_everything():
 
 def test_encoder_layer_pre_zero_weights_is_identity():
     cfg = tiny_model_config(norm_placement="pre")
-    reg = build_registry(cfg, seed=0)
+    reg = build_registry(cfg, seed=0, dtype=np.float64)
     for name, _, group in param_specs(cfg):
         if group == "encoder_layer_0" and not name.endswith((".gamma", ".beta")):
             reg[name][:] = 0.0
@@ -310,7 +313,7 @@ def test_encoder_layer_pre_zero_weights_is_identity():
 @pytest.mark.parametrize("activation", ["gelu", "relu"])
 def test_encoder_layer_matches_oracle(placement, activation):
     cfg = tiny_model_config(norm_placement=placement, ffn_activation=activation)
-    reg = build_registry(cfg, seed=8)
+    reg = build_registry(cfg, seed=8, dtype=np.float64)
     x = np.random.default_rng(9).normal(size=(2, cfg.d_model))
     got = encoder_layer_forward(x, reg, layer=1, cfg=cfg)
     want = oracle_encoder_layer(x, _layer_params(reg, 1), cfg)
@@ -319,7 +322,7 @@ def test_encoder_layer_matches_oracle(placement, activation):
 
 def test_encoder_layer_flags_non_finite_activation():
     cfg = TINY
-    reg = build_registry(cfg, seed=0)
+    reg = build_registry(cfg, seed=0, dtype=np.float64)
     # force the ffn output to overflow: hidden ~1e200 times weights ~1e200
     reg["layers.0.ffn.w1"][:] = 0.0
     reg["layers.0.ffn.b1"][:] = 1e200
@@ -349,13 +352,52 @@ GOLDEN_LOGITS = np.array(
 
 
 def test_forward_matches_golden_master():
-    reg = build_registry(TINY, seed=GOLDEN_REGISTRY_SEED)
+    reg = build_registry(TINY, seed=GOLDEN_REGISTRY_SEED, dtype=np.float64)
     x = np.random.default_rng(GOLDEN_INPUT_SEED).uniform(-1.0, 1.0, size=(4, 8))
     fast = forward(x, reg, TINY)
     slow = oracle_forward(x, reg, TINY)
     # both routes must independently reproduce the recorded vector
     assert np.max(np.abs(fast - GOLDEN_LOGITS)) < 1e-10
     assert np.max(np.abs(slow - GOLDEN_LOGITS)) < 1e-10
+
+
+@pytest.mark.parametrize("placement", ["pre", "post"])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_float32_agrees_with_float64(placement, activation):
+    # one seed in both dtypes: logits within 1e-5 * max(1, |z|), every
+    # gradient tensor within 1e-4 of its largest float64 entry
+    cfg = tiny_model_config(norm_placement=placement, ffn_activation=activation)
+    x = np.random.default_rng(GOLDEN_INPUT_SEED).uniform(-1.0, 1.0, size=(4, 8))
+    dlogits = np.random.default_rng(1).normal(size=6)
+    results = {}
+    for dtype in (np.float32, np.float64):
+        reg = build_registry(cfg, seed=GOLDEN_REGISTRY_SEED, dtype=dtype)
+        logits, cache = forward_with_cache(x, reg, cfg)
+        results[dtype] = logits, backward_pass(dlogits, cache, reg, cfg)
+    (z32, g32), (z64, g64) = results[np.float32], results[np.float64]
+    assert np.all(np.abs(z32 - z64) <= 1e-5 * np.maximum(1.0, np.abs(z64)))
+    assert set(g32) == set(g64)
+    for name, g in g64.items():
+        assert np.max(np.abs(g32[name] - g)) <= 1e-4 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_compute_follows_registry_dtype(dtype, activation):
+    # float64 inputs and dlogits; every output follows the registry
+    cfg = tiny_model_config(ffn_activation=activation)
+    reg = build_registry(cfg, seed=38, dtype=dtype)
+    x = np.random.default_rng(39).uniform(-1.0, 1.0, size=(4, 8))
+    assert reg.dtype == dtype
+    assert conv_stem(x, reg, cfg).dtype == dtype
+    h = np.random.default_rng(40).normal(size=(2, cfg.d_model))
+    assert encoder_layer_forward(h, reg, layer=0, cfg=cfg).dtype == dtype
+    assert forward(x, reg, cfg).dtype == dtype
+    _, cache = forward_with_cache(x, reg, cfg)
+    grads = backward_pass(np.ones(6), cache, reg, cfg)
+    assert set(grads) == set(reg.names())
+    for name, g in grads.items():
+        assert g.dtype == dtype, name
 
 
 def test_forward_deterministic():
@@ -431,6 +473,18 @@ def test_registry_initialization_bounds():
     assert np.all(reg["layers.0.attn_norm.beta"] == 0.0)
     # different seeds give different weights
     assert not np.array_equal(reg["conv1.w"], build_registry(cfg, seed=22)["conv1.w"])
+
+
+def test_registry_rejects_mixed_dtypes():
+    reg = ParameterRegistry()
+    reg.add("a", np.zeros(2, dtype=np.float32), HEAD)
+    with pytest.raises(ValueError):
+        reg.add("b", np.zeros(2), HEAD)
+    reg.add("c", np.arange(2), HEAD)  # non-floating input takes the default dtype
+    assert reg.dtype == np.float32
+    assert reg.names() == ["a", "c"]
+    with pytest.raises(ValueError):
+        build_registry(TINY, seed=0).add("x", np.zeros(1), HEAD)
 
 
 def test_registry_rejects_duplicates():
@@ -513,13 +567,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_values_survive_f32_quantization(tmp_path):
     cfg = TINY
-    reg = build_registry(cfg, seed=34)
+    reg = build_registry(cfg, seed=34, dtype=np.float64)
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, reg, cfg)
     loaded, _ = load_checkpoint(path)
     for name in reg.names():
         want = reg[name].astype("<f4").astype(np.float64)
         assert np.array_equal(loaded[name], want), name
+
+
+def test_checkpoint_round_trip_of_float32_registry_is_bit_exact(tmp_path):
+    cfg = TINY
+    reg = build_registry(cfg, seed=34)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, reg, cfg)
+    loaded, _ = load_checkpoint(path)
+    assert reg.dtype == loaded.dtype == np.float32
+    for name in reg.names():
+        assert loaded[name].tobytes() == reg[name].tobytes(), name
+    x = np.random.default_rng(34).uniform(-1, 1, size=(4, 8))
+    assert forward(x, loaded, cfg).tobytes() == forward(x, reg, cfg).tobytes()
 
 
 def test_checkpoint_rejects_truncated_blob(tmp_path):
@@ -550,6 +617,46 @@ def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
     save_checkpoint(path, build_registry(cfg, seed=35), cfg)
     edit_checkpoint_tensors(path, path, edit)
     with pytest.raises(ShapeMismatch):
+        load_checkpoint(path)
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m, blob: (b"not json", blob),
+        lambda m, blob: (b"[]", blob),
+        lambda m, blob: (_json(_without(m, "config")), blob),
+        lambda m, blob: (_json(_without(m, "tensors")), blob),
+        lambda m, blob: (_json(dict(m, config=dict(m["config"], dropout=0.1))), blob),
+        # a post-norm checkpoint must not load as the default pre-norm
+        lambda m, blob: (_json(dict(m, config=_without(m["config"], "norm_placement"))), blob),
+        lambda m, blob: (_json(dict(m, config=dict(m["config"], d_model="8"))), blob),
+        lambda m, blob: (_json(dict(m, config=dict(m["config"], n_heads=0))), blob),
+        lambda m, blob: (_json(dict(m, tensors=[dict(m["tensors"][0], offset="0")]
+                                    + m["tensors"][1:])), blob),
+        lambda m, blob: (_json(m), blob + b"\0\0\0\0"),
+        lambda m, blob: (_json(m), blob[:-16]),
+    ],
+    ids=["not-json", "not-object", "no-config", "no-tensors", "unknown-config-key",
+         "missing-config-key", "mistyped-config-value", "invalid-config", "bad-descriptor",
+         "trailing-bytes", "truncated"],
+)
+def test_checkpoint_rejects_corrupt_file(tmp_path, corrupt):
+    cfg = tiny_model_config(norm_placement="post")
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(path, build_registry(cfg, seed=35), cfg)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    header, blob = corrupt(json.loads(header), blob)
+    path.write_bytes(header + b"\n" + blob)
+    with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 
 

@@ -169,7 +169,7 @@ def test_backward_empty_batch():
 def test_backward_head_gradients_match_finite_differences():
     # full-network checks run in the acceptance suite; this covers the
     # batch/class loss scaling through the head parameters
-    reg = build_registry(TINY, seed=5)
+    reg = build_registry(TINY, seed=5, dtype=np.float64)
     apply_freeze(reg, FreezeConfig(frozenset(range(TINY.n_layers)), True))
     batch = _examples(2, seed=6)
     _, grads = backward(batch, reg, TINY)
@@ -190,6 +190,17 @@ def test_backward_rejects_non_finite_gradient(monkeypatch):
     monkeypatch.setattr(trainer_mod, "backward_pass", poisoned)
     with pytest.raises(NonFiniteGradient):
         backward(_examples(1), reg, TINY)
+
+
+def test_gradients_and_adam_moments_stay_in_registry_dtype():
+    reg = build_registry(TINY, seed=7)
+    state = TrainState()
+    loss, grads = backward(_examples(2, seed=8), reg, TINY)
+    assert isinstance(loss, float)
+    adam_update(reg, grads, state, TrainConfig())
+    for name, e in reg.items():
+        assert e.value.dtype == grads[name].dtype == np.float32, name
+        assert state.m[name].dtype == state.v[name].dtype == np.float32, name
 
 
 # ---------------------------------------------------------------------------
