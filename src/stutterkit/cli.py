@@ -43,6 +43,7 @@ RUNTIME_ERRORS = (
     EmptySet,
     LengthMismatch,
     OSError,
+    ValueError,  # malformed inventory, manifest or groups file
 )
 
 USAGE_ERRORS = (
@@ -117,7 +118,7 @@ def _resolve_configs(config_path: str | None):
     model_cfg = _coerce(model.ModelConfig, overrides)
     train_cfg = _coerce(trainer.TrainConfig, overrides)
     feat_cfg = _coerce(featurizer.FeaturizerConfig, overrides)
-    return model_cfg, train_cfg, feat_cfg, overrides
+    return model_cfg, train_cfg, feat_cfg
 
 
 def _config_digest(model_cfg, train_cfg, feat_cfg) -> str:
@@ -183,7 +184,7 @@ def _write_run_manifest(
 
 
 def cmd_featurize(args) -> int:
-    model_cfg, train_cfg, feat_cfg, _ = _resolve_configs(args.config)
+    model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
     wavs = sorted(in_dir.glob("*.wav"))
@@ -230,12 +231,8 @@ def cmd_curate(args) -> int:
     kept, rejections = curation.clean(
         records, prune_mode=args.prune_mode, rare_threshold=args.rare_threshold
     )
-    audio = {}
-    for r in kept:
-        wav = audio_dir / f"{r.clip_id}.wav"
-        audio[r.clip_id] = featurizer.load_wav(wav, episode_id=r.episode_id,
-                                               speaker_id=r.speaker_id)
-    pairs = curation.pair(kept, audio)
+    audio = {r.clip_id: featurizer.load_wav(audio_dir / f"{r.clip_id}.wav") for r in kept}
+    pairs = curation.pair(kept)
     balanced = curation.balance_no_stutter(pairs, seed=args.seed)
     groups = _read_speaker_groups(args.groups)
     plan = curation.PLANS[args.plan]
@@ -243,7 +240,7 @@ def cmd_curate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     for split_name, clips in manifests.items():
-        manifest_path = curation.write_split(out_dir, split_name, clips)
+        manifest_path = curation.write_split(out_dir, split_name, clips, audio)
         outputs.append(manifest_path)
         outputs.extend(sorted((manifest_path.parent / "audio").glob("*.wav")))
     counts_path = out_dir / "counts.json"
@@ -275,7 +272,7 @@ def _load_examples(manifest_path: str, feat_cfg) -> list[tuple[np.ndarray, np.nd
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, feat_cfg, _ = _resolve_configs(args.config)
+    model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
     freeze = model.parse_freeze_spec(args.freeze, model_cfg.n_layers)
     n_trainable = model.trainable_parameter_count(model_cfg, freeze)
     print(f"freeze {args.freeze}: trainable parameters {n_trainable:,}")
@@ -313,7 +310,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, train_cfg, feat_cfg, _ = _resolve_configs(args.config)
+    _, train_cfg, feat_cfg = _resolve_configs(args.config)
     registry, model_cfg = model.load_checkpoint(args.checkpoint)
     if model_cfg.n_mels != feat_cfg.n_mels:
         raise UsageError(
@@ -439,9 +436,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RUNTIME_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:  # anything else is still a runtime failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

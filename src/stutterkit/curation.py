@@ -3,10 +3,12 @@ and speaker-exclusive split materialization.
 
 The pipeline takes an annotated clip inventory (three annotator votes per
 label), keeps only clips with a single unanimous retained label, then
-concatenates same-episode/same-speaker clip pairs into 6-second two-label
-training examples. NoStutteredWords pairs are downsampled per speaker to the
-rounded mean size of that speaker's disfluent combination groups, and the
-result is partitioned into train/val/test by named speaker groups.
+pairs same-episode/same-speaker clips into 6-second two-label training
+examples. NoStutteredWords pairs are downsampled per speaker to the rounded
+mean size of that speaker's disfluent combination groups, and the result is
+partitioned into train/val/test by named speaker groups. Pairs are built
+from inventory metadata alone; write_split joins each kept pair's audio as
+it writes the pair.
 """
 
 from __future__ import annotations
@@ -65,23 +67,15 @@ class ClipRecord:
 @dataclass
 class MultiStutterClip:
     """A 6 s synthesized example: two 3 s same-speaker/same-episode clips
-    concatenated left-then-right, labeled with the union of the parts."""
+    concatenated left-then-right, labeled with the union of the parts. It
+    names its parts by clip id; write_split builds its audio."""
 
     left_clip_id: str
     right_clip_id: str
-    samples: np.ndarray
     labels: tuple[int, ...]
     combination_key: str
     speaker_id: str
     episode_id: str
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (TARGET_SAMPLES,):
-            raise ValueError(
-                f"pair {self.left_clip_id}+{self.right_clip_id}: expected exactly "
-                f"{TARGET_SAMPLES} samples, got {self.samples.shape}"
-            )
 
     @property
     def pair_id(self) -> str:
@@ -183,24 +177,17 @@ def _compatible(a: ClipRecord, b: ClipRecord) -> bool:
     return a.label in DISFLUENT_LABELS and b.label in DISFLUENT_LABELS
 
 
-def pair(records: list[ClipRecord], audio: dict[str, AudioClip]) -> list[MultiStutterClip]:
+def pair(records: list[ClipRecord]) -> list[MultiStutterClip]:
     """Every ordered pair (A, B), A != B, from the same episode AND speaker
-    whose labels are distinct disfluencies or both NoStutteredWords. Each
-    part contributes its first 3 s (zero-padded if shorter), so every output
-    is exactly 96,000 samples. Output sorted by (episode, left id, right id).
+    whose labels are distinct disfluencies or both NoStutteredWords. Pairs
+    hold clip ids only; no audio is read. Output sorted by (episode, left id,
+    right id).
     """
     by_group: dict[tuple[str, str], list[ClipRecord]] = defaultdict(list)
     for r in records:
         if r.label is None:
             raise ValueError(f"clip {r.clip_id!r} has no unanimous label; run clean() first")
         by_group[(r.episode_id, r.speaker_id)].append(r)
-
-    half: dict[str, np.ndarray] = {}
-
-    def part(r: ClipRecord) -> np.ndarray:
-        if r.clip_id not in half:
-            half[r.clip_id] = pad_or_truncate(audio[r.clip_id].samples, PART_SAMPLES)
-        return half[r.clip_id]
 
     out: list[MultiStutterClip] = []
     for (episode_id, speaker_id), group in by_group.items():
@@ -213,7 +200,6 @@ def pair(records: list[ClipRecord], audio: dict[str, AudioClip]) -> list[MultiSt
                     MultiStutterClip(
                         left_clip_id=a.clip_id,
                         right_clip_id=b.clip_id,
-                        samples=np.concatenate([part(a), part(b)]),
                         labels=bits_from_labels(names),
                         combination_key=f"{a.label}_{b.label}_",
                         speaker_id=speaker_id,
@@ -335,38 +321,56 @@ INVENTORY_FIELDS = [
 SPLIT_FIELDS = ["path", *LABELS, "combination_key", "speaker_id"]
 
 
-def read_inventory(path: str | Path) -> list[ClipRecord]:
-    """Parse the annotated-clip CSV (see INVENTORY_FIELDS for the header)."""
-    records = []
+def _csv_rows(path: str | Path, kind: str, fields: list[str]):
+    """(line number, row) for each row of a CSV that has every named column;
+    ValueError on a missing column or a row with too few fields."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        missing = set(INVENTORY_FIELDS) - set(reader.fieldnames or ())
+        missing = set(fields) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"inventory {path} missing columns: {sorted(missing)}")
+            raise ValueError(f"{kind} {path} missing columns: {sorted(missing)}")
         for row in reader:
-            votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
-            other = row.get("votes_other_json", "").strip()
-            if other:
-                votes.update({k: int(v) for k, v in json.loads(other).items()})
-            records.append(
-                ClipRecord(
-                    clip_id=row["clip_id"],
-                    episode_id=row["episode_id"],
-                    speaker_id=row["speaker_id"],
-                    duration_s=float(row["duration_s"]),
-                    annotator_votes=votes,
-                    source=row["source"],
-                    n_speakers_in_clip=int(row["n_speakers"]),
-                )
+            if None in row.values():
+                raise ValueError(f"{kind} {path} line {reader.line_num}: too few fields")
+            yield reader.line_num, row
+
+
+def read_inventory(path: str | Path) -> list[ClipRecord]:
+    """Parse the annotated-clip CSV (see INVENTORY_FIELDS for the header).
+    Raises ValueError on malformed input."""
+    records = []
+    for line, row in _csv_rows(path, "inventory", INVENTORY_FIELDS):
+        votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
+        other = json.loads(row["votes_other_json"].strip() or "{}")
+        if not isinstance(other, dict) or not all(type(v) in (int, str) for v in other.values()):
+            raise ValueError(f"inventory {path} line {line}: bad votes_other_json {other!r}")
+        votes.update({k: int(v) for k, v in other.items()})
+        records.append(
+            ClipRecord(
+                clip_id=row["clip_id"],
+                episode_id=row["episode_id"],
+                speaker_id=row["speaker_id"],
+                duration_s=float(row["duration_s"]),
+                annotator_votes=votes,
+                source=row["source"],
+                n_speakers_in_clip=int(row["n_speakers"]),
             )
+        )
     return records
 
 
 def write_split(
-    out_dir: str | Path, split_name: str, clips: list[MultiStutterClip]
+    out_dir: str | Path,
+    split_name: str,
+    clips: list[MultiStutterClip],
+    audio: dict[str, AudioClip],
 ) -> Path:
     """Write one split: WAV files under <out_dir>/<split>/audio plus a CSV
-    manifest (relative path, six label bits, combination key, speaker)."""
+    manifest (relative path, six label bits, combination key, speaker).
+
+    Each pair's audio is the first 3 s of its left clip then the first 3 s
+    of its right clip (each zero-padded if shorter), exactly 96,000 samples.
+    audio maps clip id to the source clip."""
     split_dir = Path(out_dir) / split_name
     audio_dir = split_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
@@ -376,25 +380,33 @@ def write_split(
         writer.writerow(SPLIT_FIELDS)
         for c in clips:
             rel = f"audio/{c.pair_id}.wav"
-            save_wav(audio_dir / f"{c.pair_id}.wav", c.samples)
+            samples = np.concatenate([
+                pad_or_truncate(audio[c.left_clip_id].samples, PART_SAMPLES),
+                pad_or_truncate(audio[c.right_clip_id].samples, PART_SAMPLES),
+            ])
+            save_wav(audio_dir / f"{c.pair_id}.wav", samples)
             writer.writerow([rel, *c.labels, c.combination_key, c.speaker_id])
     return manifest_path
 
 
 def read_split(manifest_path: str | Path) -> list[dict]:
-    """Rows of a split manifest; 'path' is resolved relative to the manifest."""
+    """Rows of a split manifest; 'path' is resolved relative to the manifest.
+    Raises ValueError on a missing column, a short row or a label bit other
+    than 0/1."""
     base = Path(manifest_path).parent
     rows = []
-    with open(manifest_path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            rows.append(
-                {
-                    "path": base / row["path"],
-                    "labels": tuple(int(row[l]) for l in LABELS),
-                    "combination_key": row["combination_key"],
-                    "speaker_id": row["speaker_id"],
-                }
-            )
+    for line, row in _csv_rows(manifest_path, "split manifest", SPLIT_FIELDS):
+        labels = tuple(int(row[l]) for l in LABELS)
+        if not set(labels) <= {0, 1}:
+            raise ValueError(f"split manifest {manifest_path} line {line}: label bits must be 0/1")
+        rows.append(
+            {
+                "path": base / row["path"],
+                "labels": labels,
+                "combination_key": row["combination_key"],
+                "speaker_id": row["speaker_id"],
+            }
+        )
     return rows
 
 

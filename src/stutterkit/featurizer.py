@@ -38,13 +38,10 @@ class ConfigMismatch(Exception):
 
 @dataclass
 class AudioClip:
-    """Mono PCM samples in [-1, 1] at 16 kHz plus provenance metadata."""
+    """Mono PCM samples in [-1, 1] at 16 kHz."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
-    episode_id: str = ""
-    speaker_id: str = ""
-    clip_id: str = ""
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -127,17 +124,10 @@ class LogMelSpectrogram:
 # WAV I/O
 
 
-def load_wav(
-    path: str | Path,
-    *,
-    episode_id: str = "",
-    speaker_id: str = "",
-    clip_id: str | None = None,
-) -> AudioClip:
+def load_wav(path: str | Path) -> AudioClip:
     """Read a RIFF/WAV file (PCM s16le, mono, 16 kHz) into an AudioClip.
 
-    Samples are scaled to [-1, 1] by dividing by 32768. Metadata defaults to
-    the filename stem when no manifest side-channel supplies it.
+    Samples are scaled to [-1, 1] by dividing by 32768.
     """
     path = Path(path)
     try:
@@ -162,13 +152,7 @@ def load_wav(
     if len(raw) != 2 * n_frames:
         raise CorruptFile(f"{path}: data chunk truncated ({len(raw)} bytes for {n_frames} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
-    return AudioClip(
-        samples=samples,
-        sample_rate=SAMPLE_RATE,
-        episode_id=episode_id,
-        speaker_id=speaker_id,
-        clip_id=clip_id if clip_id is not None else path.stem,
-    )
+    return AudioClip(samples=samples, sample_rate=SAMPLE_RATE)
 
 
 def save_wav(path: str | Path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:

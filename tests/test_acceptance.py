@@ -30,6 +30,7 @@ from stutterkit.featurizer import (
     FeaturizerConfig,
     LogMelSpectrogram,
     featurize,
+    load_wav,
     log_mel,
     normalize,
 )
@@ -271,12 +272,13 @@ def test_criterion_5_curation(tmp_path):
             records.append(r)
             tone = 0.4 * np.sin(2.0 * np.pi * (250.0 + 60.0 * i) * np.arange(56000) / 16000.0)
             audio[r.clip_id] = AudioClip(tone)
-        pairs = curation.pair(records, audio)
+        pairs = curation.pair(records)
         assert len(pairs) == 20
         counts = {}
         for p in pairs:
             counts[p.combination_key] = counts.get(p.combination_key, 0) + 1
-            assert p.samples.shape == (96000,)
+        for row in curation.read_split(curation.write_split(tmp_path, "pairs", pairs, audio)):
+            assert load_wav(row["path"]).samples.shape == (96000,)
         for a in DISFLUENT_LABELS:
             for b in DISFLUENT_LABELS:
                 if a != b:
@@ -288,10 +290,11 @@ def test_criterion_5_curation(tmp_path):
             speaker_pairs.append(
                 curation.MultiStutterClip(
                     left_clip_id=f"l{i}", right_clip_id=f"r{i}",
-                    samples=np.zeros(96000), labels=(1, 0, 0, 0, 1, 0),
+                    labels=(1, 0, 0, 0, 1, 0),
                     combination_key="Block_WordRep_", speaker_id=s, episode_id=f"ep{i}",
                 )
             )
+            audio[f"l{i}"] = audio[f"r{i}"] = AudioClip(np.zeros(48000))
         published = {
             "SEP-28k-E": ({"sA"}, {"sB"}, {"sC"}),
             "SEP-28k-T": ({"sB"}, {"sC"}, {"sA"}),
@@ -307,9 +310,10 @@ def test_criterion_5_curation(tmp_path):
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert not (got[i] & got[j]), name
-            for clips in manifests.values():
-                for c in clips:
-                    assert c.samples.shape == (96000,)
+            for split, clips in manifests.items():
+                written = curation.write_split(tmp_path / name, split, clips, audio)
+                for row in curation.read_split(written):
+                    assert load_wav(row["path"]).samples.shape == (96000,)
 
 
 def _tree_digests(root: Path) -> dict[str, bytes]:

@@ -395,6 +395,41 @@ def test_eval_corrupt_checkpoint_exits_one(pipeline, tmp_path, capsys):
     assert "CorruptCheckpoint" in capsys.readouterr().err
 
 
+def test_eval_manifest_without_path_column_exits_one(pipeline, tmp_path, capsys):
+    _, data_dir, cfg_path, run_dir = pipeline
+    lines = (data_dir / "test" / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    no_path = tmp_path / "no_path.csv"
+    no_path.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n", encoding="utf-8")
+    rc = main([
+        "eval", str(run_dir / "checkpoint.bin"), str(no_path), str(tmp_path / "x"),
+        "--config", str(cfg_path),
+    ])
+    assert rc == 1
+    assert "ValueError" in capsys.readouterr().err
+
+
+def test_curate_short_inventory_row_exits_one(pipeline, tmp_path, capsys):
+    root, _, _, _ = pipeline
+    lines = (root / "inventory.csv").read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "inventory.csv"
+    bad.write_text("\n".join([*lines, lines[1].rsplit(",", 2)[0]]) + "\n", encoding="utf-8")
+    rc = main([
+        "curate", str(bad), str(root / "audio"), str(tmp_path / "x"),
+        "--plan", "SEP-28k-E", "--groups", str(root / "groups.json"),
+    ])
+    assert rc == 1
+    assert "too few fields" in capsys.readouterr().err
+
+
+def test_programming_errors_propagate_out_of_main(monkeypatch):
+    def broken(path):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(curation, "read_inventory", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["curate", "inv.csv", "audio", "out", "--plan", "SEP-28k-E", "--groups", "g.json"])
+
+
 def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):
     # a checkpoint whose bias nails the only label present must score 1.0
     cfg_path = tmp_path / "tiny.cfg"
@@ -411,17 +446,19 @@ def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):
     model.save_checkpoint(ckpt, registry, model_cfg)
 
     clips = []
+    audio = {}
     for i in range(2):
         clips.append(
             curation.MultiStutterClip(
                 left_clip_id=f"n{i}a", right_clip_id=f"n{i}b",
-                samples=np.zeros(curation.TARGET_SAMPLES),
                 labels=(0, 0, 0, 0, 0, 1),
                 combination_key=curation.NO_STUTTER_KEY,
                 speaker_id="s0", episode_id="ep0",
             )
         )
-    manifest = curation.write_split(tmp_path, "test", clips)
+        for side in "ab":
+            audio[f"n{i}{side}"] = featurizer.AudioClip(np.zeros(curation.PART_SAMPLES))
+    manifest = curation.write_split(tmp_path, "test", clips, audio)
     eval_dir = tmp_path / "eval"
     rc = main(["eval", str(ckpt), str(manifest), str(eval_dir), "--config", str(cfg_path)])
     assert rc == 0

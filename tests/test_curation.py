@@ -3,6 +3,7 @@ ordered-pair construction, per-speaker fluent-pair balancing, split plans,
 and manifest I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stutterkit.curation import (
     PART_SAMPLES,
     PLANS,
     PRUNED_LABELS,
+    SPLIT_FIELDS,
     TARGET_SAMPLES,
     ClipRecord,
     MultiStutterClip,
@@ -42,11 +44,6 @@ def _rec(clip_id, votes, duration=4.0, n_speakers=1, episode="ep0", speaker="s0"
         annotator_votes=votes,
         n_speakers_in_clip=n_speakers,
     )
-
-
-def _tone(freq, seconds=3.0):
-    t = np.arange(int(seconds * 16000)) / 16000.0
-    return AudioClip(0.4 * np.sin(2 * np.pi * freq * t))
 
 
 def _cleaned(clip_id, label, episode="ep0", speaker="s0"):
@@ -163,8 +160,7 @@ def test_clean_is_idempotent_on_kept_records():
 
 def test_pair_five_distinct_disfluencies_all_ordered_pairs():
     records = [_cleaned(f"c_{l}", l) for l in DISFLUENT_LABELS]
-    audio = {r.clip_id: _tone(300 + 50 * i) for i, r in enumerate(records)}
-    pairs = pair(records, audio)
+    pairs = pair(records)
     assert len(pairs) == 20  # 5 * 4 ordered pairs
     keys = [p.combination_key for p in pairs]
     for a in DISFLUENT_LABELS:
@@ -178,14 +174,12 @@ def test_pair_five_distinct_disfluencies_all_ordered_pairs():
 
 def test_pair_same_disfluent_label_excluded():
     records = [_cleaned("b1", "Block"), _cleaned("b2", "Block")]
-    audio = {"b1": _tone(300), "b2": _tone(400)}
-    assert pair(records, audio) == []
+    assert pair(records) == []
 
 
 def test_pair_fluent_pairs_kept_with_single_label():
     records = [_cleaned(f"n{i}", NO_STUTTER) for i in range(3)]
-    audio = {r.clip_id: _tone(500 + 20 * i) for i, r in enumerate(records)}
-    pairs = pair(records, audio)
+    pairs = pair(records)
     assert len(pairs) == 6  # 3 * 2
     for p in pairs:
         assert p.combination_key == NO_STUTTER_KEY
@@ -194,8 +188,7 @@ def test_pair_fluent_pairs_kept_with_single_label():
 
 def test_pair_disfluent_with_fluent_excluded():
     records = [_cleaned("b", "Block"), _cleaned("n", NO_STUTTER)]
-    audio = {"b": _tone(300), "n": _tone(600)}
-    assert pair(records, audio) == []
+    assert pair(records) == []
 
 
 def test_pair_requires_same_episode_and_speaker():
@@ -204,37 +197,39 @@ def test_pair_requires_same_episode_and_speaker():
         _cleaned("b", "WordRep", episode="ep1", speaker="s0"),
         _cleaned("c", "SoundRep", episode="ep0", speaker="s1"),
     ]
-    audio = {"a": _tone(300), "b": _tone(350), "c": _tone(400)}
-    assert pair(base, audio) == []
+    assert pair(base) == []
     # same episode and speaker does pair
     base[1].episode_id = "ep0"
     base[1].speaker_id = "s0"
-    assert len(pair(base, audio)) == 2
+    assert len(pair(base)) == 2
 
 
-def test_pair_concatenation_geometry():
-    # left clip 2 s (padded), right clip 4 s (truncated)
+def test_pair_concatenation_geometry(tmp_path):
+    # left clip 2 s (padded), right clip 4 s (truncated); the written WAVs
+    # hold the pair audio
     records = [_cleaned("l", "Block"), _cleaned("r", "WordRep")]
     left = AudioClip(np.full(32000, 0.25))
     right = AudioClip(np.full(64000, -0.25))
-    pairs = pair(records, {"l": left, "r": right})
-    by_key = {p.combination_key: p for p in pairs}
-    p = by_key["Block_WordRep_"]
-    assert p.samples.shape == (TARGET_SAMPLES,)
-    assert np.all(p.samples[:32000] == 0.25)
-    assert np.all(p.samples[32000:PART_SAMPLES] == 0.0)  # zero padding
-    assert np.all(p.samples[PART_SAMPLES:] == -0.25)  # first 3 s of the right clip
+    pairs = pair(records)
+    rows = read_split(write_split(tmp_path, "train", pairs, {"l": left, "r": right}))
+    by_key = {
+        p.combination_key: (p, load_wav(row["path"]).samples) for p, row in zip(pairs, rows)
+    }
+    p, samples = by_key["Block_WordRep_"]
+    assert samples.shape == (TARGET_SAMPLES,)
+    assert np.all(samples[:32000] == 0.25)
+    assert np.all(samples[32000:PART_SAMPLES] == 0.0)  # zero padding
+    assert np.all(samples[PART_SAMPLES:] == -0.25)  # first 3 s of the right clip
     assert p.labels == (1, 0, 0, 0, 1, 0)  # Block + WordRep
     assert p.pair_id == "l__r"
     # the mirror pair flips the halves
-    q = by_key["WordRep_Block_"]
-    assert np.all(q.samples[:PART_SAMPLES] == -0.25)
+    _, mirror = by_key["WordRep_Block_"]
+    assert np.all(mirror[:PART_SAMPLES] == -0.25)
 
 
 def test_pair_union_labels_for_every_combination():
     records = [_cleaned(f"c_{l}", l) for l in DISFLUENT_LABELS]
-    audio = {r.clip_id: _tone(300 + 40 * i) for i, r in enumerate(records)}
-    for p in pair(records, audio):
+    for p in pair(records):
         want = tuple(
             int(LABELS[i] in (p.combination_key.split("_")[0], p.combination_key.split("_")[1]))
             for i in range(6)
@@ -245,14 +240,33 @@ def test_pair_union_labels_for_every_combination():
 
 def test_pair_requires_cleaned_records():
     with pytest.raises(ValueError):
-        pair([_rec("c", {"Block": 3})], {"c": _tone(300)})
+        pair([_rec("c", {"Block": 3})])
+
+
+def test_pairing_memory_is_bounded_on_a_200_clip_speaker():
+    # 198 fluent clips make 198 * 197 ordered fluent pairs; the two distinct
+    # disfluencies add 2 more, and balancing keeps those 2 plus one fluent
+    # pair. Pairs hold ids only, so the peak stays far below the 30 GB the
+    # pair audio would need.
+    records = [_cleaned(f"n{i:03d}", NO_STUTTER) for i in range(198)]
+    records += [_cleaned("d0", "Block"), _cleaned("d1", "WordRep")]
+    tracemalloc.start()
+    try:
+        pairs = pair(records)
+        n_pairs = len(pairs)
+        kept = balance_no_stutter(pairs, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_pairs == 39008
+    assert len(kept) == 3
+    assert peak < 100 * 2**20
 
 
 def test_pair_output_order_is_input_order_independent():
     records = [_cleaned(f"c_{l}", l) for l in DISFLUENT_LABELS]
-    audio = {r.clip_id: _tone(300 + 40 * i) for i, r in enumerate(records)}
-    forward_ids = [p.pair_id for p in pair(records, audio)]
-    reversed_ids = [p.pair_id for p in pair(list(reversed(records)), audio)]
+    forward_ids = [p.pair_id for p in pair(records)]
+    reversed_ids = [p.pair_id for p in pair(list(reversed(records)))]
     assert forward_ids == reversed_ids
     assert forward_ids == sorted(forward_ids)
 
@@ -264,7 +278,6 @@ def test_pair_output_order_is_input_order_independent():
 def _nsw_pair(i, speaker="s0"):
     return MultiStutterClip(
         left_clip_id=f"n{i}a", right_clip_id=f"n{i}b",
-        samples=np.zeros(TARGET_SAMPLES),
         labels=(0, 0, 0, 0, 0, 1),
         combination_key=NO_STUTTER_KEY,
         speaker_id=speaker, episode_id="ep0",
@@ -274,7 +287,6 @@ def _nsw_pair(i, speaker="s0"):
 def _disfluent_pair(i, key="Block_WordRep_", speaker="s0"):
     return MultiStutterClip(
         left_clip_id=f"d{i}a", right_clip_id=f"d{i}b",
-        samples=np.zeros(TARGET_SAMPLES),
         labels=(1, 0, 0, 0, 1, 0),
         combination_key=key,
         speaker_id=speaker, episode_id="ep0",
@@ -462,19 +474,53 @@ def test_read_inventory_missing_column(tmp_path):
         read_inventory(path)
 
 
+def test_read_inventory_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "inv.csv"
+    good = inventory_row("c1", "ep0", "s0", 3.5, label="Block")
+    for bad_row in (good[:-3], [*good[:-1], '["Music"]'], [*good[:-1], '{"Music": null}']):
+        write_inventory_csv(path, [good, bad_row])
+        with pytest.raises(ValueError, match="line 3"):
+            read_inventory(path)
+
+
+def _split_csv(path, header, *rows):
+    path.write_text("\n".join(",".join(r) for r in (header, *rows)) + "\n", encoding="utf-8")
+    return path
+
+
+def test_read_split_rejects_malformed_manifest(tmp_path):
+    good = ["audio/x.wav", "1", "0", "0", "0", "1", "0", "Block_WordRep_", "s0"]
+    assert read_split(_split_csv(tmp_path / "ok.csv", SPLIT_FIELDS, good))[0]["labels"] == (
+        1, 0, 0, 0, 1, 0,
+    )
+    for column in SPLIT_FIELDS:
+        keep = [i for i, f in enumerate(SPLIT_FIELDS) if f != column]
+        path = _split_csv(
+            tmp_path / "cols.csv", [SPLIT_FIELDS[i] for i in keep], [good[i] for i in keep]
+        )
+        with pytest.raises(ValueError, match=column):
+            read_split(path)
+    bad_bit = ["audio/x.wav", "2", "0", "0", "0", "1", "0", "Block_WordRep_", "s0"]
+    for row in (bad_bit, good[:-2], [*good[:1], "x", *good[2:]]):
+        with pytest.raises(ValueError):
+            read_split(_split_csv(tmp_path / "rows.csv", SPLIT_FIELDS, good, row))
+
+
 def test_write_and_read_split_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     clips = []
+    audio = {}
     for i in range(3):
-        samples = rng.uniform(-0.5, 0.5, size=TARGET_SAMPLES)
+        audio[f"a{i}"] = AudioClip(rng.uniform(-0.5, 0.5, size=PART_SAMPLES))
+        audio[f"b{i}"] = AudioClip(rng.uniform(-0.5, 0.5, size=PART_SAMPLES))
         clips.append(
             MultiStutterClip(
                 left_clip_id=f"a{i}", right_clip_id=f"b{i}",
-                samples=samples, labels=(1, 0, 0, 0, 1, 0),
+                labels=(1, 0, 0, 0, 1, 0),
                 combination_key="Block_WordRep_", speaker_id="s0", episode_id="ep0",
             )
         )
-    manifest = write_split(tmp_path, "train", clips)
+    manifest = write_split(tmp_path, "train", clips, audio)
     assert manifest == tmp_path / "train" / "manifest.csv"
     rows = read_split(manifest)
     assert len(rows) == 3
@@ -484,7 +530,10 @@ def test_write_and_read_split_round_trip(tmp_path):
         assert row["speaker_id"] == "s0"
         loaded = load_wav(row["path"])
         assert loaded.samples.shape == (TARGET_SAMPLES,)
-        assert np.max(np.abs(loaded.samples - clip.samples)) <= 1.0 / 32768.0
+        samples = np.concatenate(
+            [audio[clip.left_clip_id].samples, audio[clip.right_clip_id].samples]
+        )
+        assert np.max(np.abs(loaded.samples - samples)) <= 1.0 / 32768.0
 
 
 def test_write_count_report(tmp_path):
@@ -503,7 +552,7 @@ def test_full_curation_flow_on_fixture(tmp_path):
     kept, report = clean(records)
     assert len(kept) == len(records)  # fixture is all clean
     audio = {r.clip_id: load_wav(audio_dir / f"{r.clip_id}.wav") for r in kept}
-    pairs = pair(kept, audio)
+    pairs = pair(kept)
     # per speaker: 5 distinct disfluent labels -> 20 pairs, 3 fluent -> 6
     assert len(pairs) == 4 * 26
     balanced = balance_no_stutter(pairs, seed=0)
@@ -513,5 +562,5 @@ def test_full_curation_flow_on_fixture(tmp_path):
     manifests = build_splits(balanced, groups, PLANS["SEP-28k-E-merged"])
     assert {s: len(v) for s, v in manifests.items()} == {"train": 42, "val": 21, "test": 21}
     for split, clips in manifests.items():
-        for c in clips:
-            assert c.samples.shape == (TARGET_SAMPLES,)
+        for row in read_split(write_split(tmp_path / "out", split, clips, audio)):
+            assert load_wav(row["path"]).samples.shape == (TARGET_SAMPLES,)

@@ -45,7 +45,6 @@ def test_load_silence(tmp_path):
     assert clip.samples.size == 48000
     assert np.all(clip.samples == 0.0)
     assert clip.duration_s == 3.0
-    assert clip.clip_id == "silence"
 
 
 def test_load_scale_boundary(tmp_path):
