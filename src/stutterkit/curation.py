@@ -341,10 +341,12 @@ def read_inventory(path: str | Path) -> list[ClipRecord]:
     records = []
     for line, row in _csv_rows(path, "inventory", INVENTORY_FIELDS):
         votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
-        other = json.loads(row["votes_other_json"].strip() or "{}")
-        if not isinstance(other, dict) or not all(type(v) in (int, str) for v in other.values()):
-            raise ValueError(f"inventory {path} line {line}: bad votes_other_json {other!r}")
-        votes.update({k: int(v) for k, v in other.items()})
+        cell = row["votes_other_json"].strip()
+        if cell:  # an empty cell means {}; most rows have one, so skip the parse
+            other = json.loads(cell)
+            if not isinstance(other, dict) or not all(type(v) in (int, str) for v in other.values()):
+                raise ValueError(f"inventory {path} line {line}: bad votes_other_json {other!r}")
+            votes.update({k: int(v) for k, v in other.items()})
         records.append(
             ClipRecord(
                 clip_id=row["clip_id"],

@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 DTYPE = np.float32  # build_registry's default and the checkpoint's storage dtype
 LN_EPS = 1e-5
@@ -299,13 +298,67 @@ def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# float32 erf as Eigen and XLA compute it: clamp to [-4, 4] (beyond which
+# erf rounds to +-1 in float32), then x * P(x^2) / Q(x^2). Highest power first.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite the floating array x with erf(x) and return it. float32 runs
+    the rational kernel (abs. error below 5e-7, exactly odd); any other dtype
+    takes math.erf per element."""
+    if x.dtype != np.float32:
+        x[...] = _math_erf(x)
+        return x
+    np.clip(x, -4.0, 4.0, out=x)
+    x2 = x * x
+    p = x2 * _ERF_P[0]
+    for c in _ERF_P[1:-1]:
+        p += c
+        p *= x2
+    p += _ERF_P[-1]
+    p *= x
+    q = np.multiply(x2, _ERF_Q[0], out=x)  # x is not read again
+    for c in _ERF_Q[1:-1]:
+        q += c
+        q *= x2
+    q += _ERF_Q[-1]
+    return np.divide(p, q, out=x)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """erf in x's floating dtype (float64 for integer input)."""
+    x = np.asarray(x)
+    return _erf_inplace(np.array(x, dtype=np.result_type(x, 0.0)))
+
+
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gate of GELU(x) = x * Phi(x)."""
+    phi = _erf_inplace(np.asarray(x / _SQRT2))
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return x * normal_cdf(x)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d GELU / dx = Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi), given phi =
+    normal_cdf(x) from the forward pass."""
+    g = x * x
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= x
+    g *= _INV_SQRT_2PI
+    g += phi
+    return g
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -316,7 +369,28 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0).astype(x.dtype)
 
 
-_ACT = {"gelu": (gelu, gelu_grad), "relu": (relu, relu_grad)}
+# An activation is (forward, backward). forward(z) -> (a, s), where s is the
+# one array the cache keeps: Phi(z) for GELU, a itself for ReLU.
+# backward(z, s) -> (a, da/dz), with a rebuilt bit-identically from s.
+def _gelu_fwd(z):
+    phi = normal_cdf(z)
+    return z * phi, phi
+
+
+def _gelu_bwd(z, phi):
+    return z * phi, gelu_grad(z, phi)
+
+
+def _relu_fwd(z):
+    a = relu(z)
+    return a, a
+
+
+def _relu_bwd(z, a):
+    return a, relu_grad(z)
+
+
+_ACT = {"gelu": (_gelu_fwd, _gelu_bwd), "relu": (_relu_fwd, _relu_bwd)}
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -454,7 +528,8 @@ def ffn(x: np.ndarray, w1, b1, w2, b2, activation: str = "gelu") -> np.ndarray:
     if x.shape[-1] != w1.shape[0]:
         raise ShapeMismatch(f"ffn input width {x.shape[-1]} != {w1.shape[0]}")
     act, _ = _ACT[activation]
-    return _linear_fwd(act(_linear_fwd(x, w1, b1)), w2, b2)
+    a, _ = act(_linear_fwd(x, w1, b1))
+    return _linear_fwd(a, w2, b2)
 
 
 def conv_stem(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:
@@ -469,17 +544,20 @@ def _conv_stem_fwd(x, registry, cfg):
     if x.shape[1] % 2:
         raise ShapeMismatch("frame count must be even (second conv has stride 2)")
     z1, cols1 = _conv1d_fwd(x, registry["conv1.w"], registry["conv1.b"], stride=1, padding=1)
-    a1 = gelu(z1)
+    a1, phi1 = _gelu_fwd(z1)
     z2, cols2 = _conv1d_fwd(a1, registry["conv2.w"], registry["conv2.b"], stride=2, padding=1)
-    h = gelu(z2).T  # [T/2, d_model]
-    return h, (x.shape, z1, cols1, a1.shape, z2, cols2)
+    a2, phi2 = _gelu_fwd(z2)
+    # The backward reads z only through GELU's derivative, so the cache keeps
+    # that in place of z (and of Phi) and stays one array per activation.
+    cache = (x.shape, gelu_grad(z1, phi1), cols1, a1.shape, gelu_grad(z2, phi2), cols2)
+    return a2.T, cache  # [T/2, d_model]
 
 
 def _conv_stem_bwd(dh, cache, registry):
-    x_shape, z1, cols1, a1_shape, z2, cols2 = cache
-    dz2 = dh.T * gelu_grad(z2)
+    x_shape, dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
+    dz2 = dh.T * dgelu2
     da1, dw2, db2 = _conv1d_bwd(dz2, cols2, a1_shape, registry["conv2.w"], stride=2, padding=1)
-    dz1 = da1 * gelu_grad(z1)
+    dz1 = da1 * dgelu1
     _, dw1, db1 = _conv1d_bwd(dz1, cols1, x_shape, registry["conv1.w"], stride=1, padding=1)
     return {"conv1.w": dw1, "conv1.b": db1, "conv2.w": dw2, "conv2.b": db2}
 
@@ -514,16 +592,17 @@ def _attn_sublayer_bwd(dout, cache, p, cfg):
 def _ffn_sublayer_fwd(x, p, cfg):
     act, _ = _ACT[cfg.ffn_activation]
     z1 = _linear_fwd(x, p["ffn.w1"], p["ffn.b1"])
-    a = act(z1)
+    a, s = act(z1)
     out = _linear_fwd(a, p["ffn.w2"], p["ffn.b2"])
-    return out, (x, z1, a)
+    return out, (x, z1, s)
 
 
 def _ffn_sublayer_bwd(dout, cache, p, cfg):
-    x, z1, a = cache
-    _, act_grad = _ACT[cfg.ffn_activation]
+    x, z1, s = cache
+    _, act_bwd = _ACT[cfg.ffn_activation]
+    a, act_grad = act_bwd(z1, s)
     da, dw2, db2 = _linear_bwd(dout, a, p["ffn.w2"])
-    dz1 = da * act_grad(z1)
+    dz1 = da * act_grad
     dx, dw1, db1 = _linear_bwd(dz1, x, p["ffn.w1"])
     return dx, {"ffn.w1": dw1, "ffn.b1": db1, "ffn.w2": dw2, "ffn.b2": db2}
 

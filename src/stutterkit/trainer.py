@@ -140,7 +140,12 @@ def adam_update(
     cfg: TrainConfig,
 ) -> None:
     """One Adam step over the trainable parameters, in place. Weight decay is
-    decoupled (applied directly to the weights, not through the moments)."""
+    decoupled (applied directly to the weights, not through the moments).
+
+    Two scratch buffers per tensor replace the temporaries of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        w -= lr*wd*w;  w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+    with the same operations in the same order, so results are bit-identical."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
@@ -154,15 +159,23 @@ def adam_update(
             state.v[name] = np.zeros_like(entry.value)
         m = state.m[name]
         v = state.v[name]
+        w = entry.value
+        step = np.multiply(g, 1.0 - cfg.beta1)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += step
+        denom = np.multiply(g, 1.0 - cfg.beta2)
+        denom *= g
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
+        v += denom
         if cfg.weight_decay:
-            entry.value -= cfg.learning_rate * cfg.weight_decay * entry.value
-        entry.value -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
+        np.divide(m, bc1, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step /= denom
+        w -= step
 
 
 def train_step(

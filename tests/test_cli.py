@@ -3,6 +3,9 @@ curate -> train -> eval chain on a small synthetic corpus."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from helpers import (
     write_config_file,
     write_tone_wav,
 )
+import stutterkit
 from stutterkit import curation, featurizer, model
 from stutterkit.cli import main
 
@@ -473,3 +477,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stutterkit" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command pays the import of stutterkit.cli; scipy alone used to
+    cost about half a second of it."""
+    package_root = str(Path(stutterkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, stutterkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -33,12 +33,15 @@ from stutterkit.model import (
     build_registry,
     conv_stem,
     encoder_layer_forward,
+    erf,
     ffn,
     forward,
     forward_with_cache,
     gelu,
+    gelu_grad,
     layer_norm,
     load_checkpoint,
+    normal_cdf,
     param_specs,
     parse_freeze_spec,
     relu,
@@ -47,6 +50,7 @@ from stutterkit.model import (
     softmax,
     trainable_parameter_count,
 )
+from stutterkit.model import _conv1d_fwd
 
 TINY = tiny_model_config()
 
@@ -675,3 +679,93 @@ def test_activation_helpers():
     # gelu(x) ~ x for large positive x, ~0 for large negative
     assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-6)
     assert gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# erf and GELU
+
+
+def test_erf_float32_kernel_is_within_5e7_of_math_erf():
+    x = np.linspace(-8.0, 8.0, 400_001, dtype=np.float32)
+    want = np.array([math.erf(v) for v in x.tolist()])
+    got = erf(x)
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want)) < 5e-7
+
+
+def test_erf_float64_is_within_2e16_of_math_erf():
+    x = np.linspace(-8.0, 8.0, 40_001)
+    want = np.array([math.erf(v) for v in x.tolist()])
+    got = erf(x)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 2e-16
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_is_exactly_odd(dtype):
+    x = np.random.default_rng(0).normal(scale=3.0, size=10_000).astype(dtype)
+    assert np.array_equal(erf(-x), -erf(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_signed_zero_infinities_and_nan(dtype):
+    got = erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype))
+    assert got.dtype == dtype
+    assert got[:4].tolist() == [0.0, 0.0, 1.0, -1.0]
+    assert np.signbit(got[:2]).tolist() == [False, True]
+    assert np.isnan(got[4])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_of_zero_d_and_empty_arrays(dtype):
+    got = erf(np.array(0.5, dtype=dtype))
+    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == dtype
+    assert abs(float(got) - math.erf(0.5)) < 5e-7
+    for shape in ((0,), (2, 0)):
+        empty = erf(np.zeros(shape, dtype=dtype))
+        assert empty.shape == shape and empty.dtype == dtype
+
+
+def test_erf_leaves_its_input_alone():
+    x = np.array([-5.0, 0.3, 2.0], dtype=np.float32)
+    before = x.copy()
+    erf(x)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("where", ["conv1.b", "layers.0.ffn.b1"])
+def test_nan_through_gelu_reaches_non_finite_activation(where):
+    reg = build_registry(TINY, seed=3)
+    reg[where][0] = np.nan
+    x = np.random.default_rng(4).uniform(-1, 1, size=(TINY.n_mels, 8))
+    with pytest.raises(NonFiniteActivation):
+        forward(x, reg, TINY)
+
+
+def test_gelu_grad_matches_closed_form():
+    x = np.linspace(-6.0, 6.0, 1201)
+    want = np.array([
+        0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) + v * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+        for v in x.tolist()
+    ])
+    assert np.max(np.abs(gelu_grad(x, normal_cdf(x)) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
+    """Each FFN cache holds Phi(z1) next to z1, and the stem cache holds the
+    GELU derivative of both convolutions: the backward's derivative and the
+    rebuilt FFN activation z1 * Phi equal those recomputed from z, bit for bit."""
+    reg = build_registry(TINY, seed=5, dtype=dtype)
+    x = np.random.default_rng(6).uniform(-1, 1, size=(TINY.n_mels, 8)).astype(dtype)
+    _, (stem, _, layers, *_) = forward_with_cache(x, reg, TINY)
+    _, dgelu1, _, _, dgelu2, _ = stem
+    z1 = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
+    z2 = _conv1d_fwd(gelu(z1), reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
+    assert dgelu1.dtype == dgelu2.dtype == dtype
+    assert np.array_equal(dgelu1, gelu_grad(z1, normal_cdf(z1)))
+    assert np.array_equal(dgelu2, gelu_grad(z2, normal_cdf(z2)))
+    for _, z, phi in (layer[3] for layer in layers):
+        assert phi.dtype == dtype
+        assert np.array_equal(gelu_grad(z, phi), gelu_grad(z, normal_cdf(z)))
+        assert np.array_equal(z * phi, gelu(z))

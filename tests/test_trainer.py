@@ -252,6 +252,39 @@ def test_adam_decoupled_weight_decay():
     assert float(reg["w"][0]) == pytest.approx(hand, abs=1e-12)
 
 
+def test_adam_in_place_is_bit_identical_to_the_reference_expression():
+    rng = np.random.default_rng(12)
+    shapes = {"a": (64, 48), "b": (48,), "frozen": (5,)}
+    reg = ParameterRegistry()
+    for name, shape in shapes.items():
+        reg.add(name, rng.normal(size=shape).astype(np.float32), HEAD, trainable=name != "frozen")
+    ref = {name: reg[name].copy() for name in ("a", "b")}
+    ref_m = {name: np.zeros_like(w) for name, w in ref.items()}
+    ref_v = {name: np.zeros_like(w) for name, w in ref.items()}
+    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+    state = TrainState()
+    for t in range(1, 5):
+        grads = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+        adam_update(reg, grads, state, cfg)
+        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        for name, w in ref.items():
+            g, m, v = grads[name], ref_m[name], ref_v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            mhat = m / bc1
+            vhat = v / bc2
+            w -= cfg.learning_rate * cfg.weight_decay * w
+            w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+    for name, w in ref.items():
+        assert reg[name].dtype == np.float32
+        assert np.array_equal(reg[name], w), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name
+    assert "frozen" not in state.m
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
