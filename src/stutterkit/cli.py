@@ -71,8 +71,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
 _CONFIG_TYPES = {
     cls: typing.get_type_hints(cls)
     for cls in (model.ModelConfig, trainer.TrainConfig, featurizer.FeaturizerConfig)
@@ -88,10 +86,6 @@ def _parse_value(key: str, raw: str, typ):
         if raw.lower() in ("none", ""):
             return None
         typ = args[0]
-    if typ is bool:
-        if raw.lower() not in _BOOLEANS:
-            raise UsageError(f"{key}: expected true/false/1/0/yes/no, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
     try:
         return typ(raw)
     except ValueError:
@@ -316,6 +310,7 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"checkpoint expects {model_cfg.n_mels} mel bins, featurizer config has {feat_cfg.n_mels}"
         )
+    thresholds = args.threshold or [train_cfg.threshold]
     examples = _load_examples(args.test_manifest, feat_cfg)
     if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")
@@ -324,7 +319,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    for threshold in args.threshold:
+    for threshold in thresholds:
         preds = [predict(z, threshold) for z in logits_list]
         report = f1_report(preds, targets, threshold=threshold)
         stem = f"eval_t{threshold:g}"
@@ -338,7 +333,7 @@ def cmd_eval(args) -> int:
     _write_run_manifest(
         out_dir, "eval", _config_digest(model_cfg, train_cfg, feat_cfg),
         [Path(args.checkpoint), Path(args.test_manifest)], outputs, seed=None,
-        extra={"thresholds": list(args.threshold)},
+        extra={"thresholds": thresholds},
     )
     return 0
 
@@ -417,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test_manifest")
     p.add_argument("out_dir")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--threshold", type=float, nargs="+", default=[0.5])
+    p.add_argument("--threshold", type=float, nargs="+",
+                   help="decision thresholds (default: the config's threshold)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("params", help="trainable-parameter audit per freeze config")

@@ -98,10 +98,10 @@ def f1_report(
     predictions: list[tuple[int, ...]],
     targets: list[tuple[int, ...]],
     threshold: float | None = None,
-    class_names: tuple[str, ...] | None = None,
 ) -> EvalReport:
     """Score multi-label predictions against targets (lists of 0/1 tuples).
 
+    Six-wide labels are named by LABELS, any other width class_0, class_1, ...
     `threshold` is carried into the report as metadata only; thresholding
     itself happens in predict().
     """
@@ -115,14 +115,9 @@ def f1_report(
     if len(widths) != 1:
         raise LengthMismatch(f"inconsistent label widths: {sorted(widths)}")
     n_classes = widths.pop()
-    if class_names is None:
-        class_names = LABELS if n_classes == len(LABELS) else tuple(
-            f"class_{i}" for i in range(n_classes)
-        )
-    elif len(class_names) != n_classes:
-        raise LengthMismatch(
-            f"{len(class_names)} class names for {n_classes} classes"
-        )
+    class_names = LABELS if n_classes == len(LABELS) else tuple(
+        f"class_{i}" for i in range(n_classes)
+    )
     y = np.asarray(targets, dtype=np.int64)
     p = np.asarray(predictions, dtype=np.int64)
     tp = np.sum((y == 1) & (p == 1), axis=0)
@@ -147,5 +142,5 @@ def f1_report(
         fn=tuple(int(x) for x in fn),
         n_examples=len(targets),
         threshold=threshold,
-        class_names=tuple(class_names),
+        class_names=class_names,
     )

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import wave
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .headers import read_config, read_header
 
 SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
@@ -61,7 +64,6 @@ class AudioClip:
 class FeaturizerConfig:
     window_ms: int = 25
     hop_ms: int = 10
-    n_fft: int = 400
     n_mels: int = 80
     chunk_length_s: float = 6.0
     log_floor: float = 1e-10
@@ -70,18 +72,24 @@ class FeaturizerConfig:
     affine_scale: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.n_fft != self.window_ms * SAMPLE_RATE // 1000:
-            raise ConfigMismatch(
-                f"n_fft={self.n_fft} inconsistent with window_ms={self.window_ms} at {SAMPLE_RATE} Hz"
-            )
+        sizes = ("window_ms", "hop_ms", "n_mels")
+        if any(getattr(self, name) < 1 for name in sizes):
+            raise ConfigMismatch(f"{', '.join(n for n in sizes if getattr(self, n) < 1)} must be >= 1")
         if (self.hop_ms * SAMPLE_RATE) % 1000:
             raise ConfigMismatch(f"hop_ms={self.hop_ms} is not a whole sample count")
-        if self.n_mels < 1:
-            raise ConfigMismatch("n_mels must be >= 1")
+        if not 0 < self.chunk_length_s < math.inf:
+            raise ConfigMismatch("chunk_length_s must be positive and finite")
         if self.chunk_samples % self.hop:
             raise ConfigMismatch("chunk length must be a whole number of hops")
-        if self.log_floor <= 0:
+        if not self.log_floor > 0:
             raise ConfigMismatch("log_floor must be positive")
+        if not self.affine_scale > 0:
+            raise ConfigMismatch("affine_scale must be positive")
+
+    @property
+    def n_fft(self) -> int:
+        """FFT size: one window of samples."""
+        return self.window_ms * SAMPLE_RATE // 1000
 
     @property
     def hop(self) -> int:
@@ -155,13 +163,13 @@ def load_wav(path: str | Path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=SAMPLE_RATE)
 
 
-def save_wav(path: str | Path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
-    """Write mono float samples in [-1, 1] as PCM s16le."""
+def save_wav(path: str | Path, samples: np.ndarray) -> None:
+    """Write mono float samples in [-1, 1] as 16 kHz PCM s16le."""
     pcm = np.clip(np.round(np.asarray(samples, dtype=np.float64) * PCM_SCALE), -32768, 32767)
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.astype("<i2").tobytes())
 
 
@@ -265,12 +273,22 @@ def dump_spectrogram(path: str | Path, spec: LogMelSpectrogram, cfg: FeaturizerC
 
 
 def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerConfig]:
+    """A dump written by dump_spectrogram, with the config it was made under.
+
+    Raises CorruptFile unless the header holds a valid FeaturizerConfig
+    (exactly its fields, each of its type) and int sizes that match it, and
+    the blob holds exactly that many float32 values."""
     with open(path, "rb") as f:
-        header_line = f.readline()
+        header = read_header(f, path, CorruptFile, ("n_mels", "n_frames", "config"))
         blob = f.read()
-    header = json.loads(header_line)
-    cfg = FeaturizerConfig(**header["config"])
+    cfg = read_config(FeaturizerConfig, header["config"], CorruptFile, (ConfigMismatch,))
     n_mels, n_frames = header["n_mels"], header["n_frames"]
+    if type(n_mels) is not int or type(n_frames) is not int:
+        raise CorruptFile(f"{path}: n_mels and n_frames must be ints")
+    if (n_mels, n_frames) != (cfg.n_mels, cfg.chunk_frames):
+        raise CorruptFile(
+            f"{path}: {n_mels}x{n_frames} values, config makes {cfg.n_mels}x{cfg.chunk_frames}"
+        )
     expected = 4 * n_mels * n_frames
     if len(blob) != expected:
         raise CorruptFile(f"{path}: expected {expected} value bytes, found {len(blob)}")

@@ -24,10 +24,13 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .headers import read_config, read_header
+from .labels import N_CLASSES
 
 DTYPE = np.float32  # build_registry's default and the checkpoint's storage dtype
 LN_EPS = 1e-5
@@ -65,24 +68,17 @@ class ModelConfig:
     n_mels: int = 80
     max_positions: int = 1500
     d_proj: int = 256
-    n_classes: int = 6
     norm_placement: str = "pre"  # "pre" | "post"
     ffn_activation: str = "gelu"  # "gelu" | "relu"
-    attention_key_bias: bool = False
 
     def __post_init__(self) -> None:
         sizes = ("d_model", "n_layers", "n_heads", "d_ffn", "n_mels", "max_positions", "d_proj")
         if any(getattr(self, name) < 1 for name in sizes):
             raise ValueError(f"{', '.join(n for n in sizes if getattr(self, n) < 1)} must be >= 1")
-        if self.attention_key_bias:
-            # the parameter accounting (3,151,872 per layer) assumes none
-            raise ValueError("a bias on the attention key projection is not supported")
         if self.d_model % self.n_heads:
             raise ShapeMismatch(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.d_model % 2:
             raise ShapeMismatch("d_model must be even for sinusoidal positions")
-        if self.n_classes != 6:
-            raise ShapeMismatch("the classification head is six-way")
         if self.norm_placement not in ("pre", "post"):
             raise ValueError(f"norm_placement must be 'pre' or 'post', got {self.norm_placement!r}")
         if self.ffn_activation not in ("gelu", "relu"):
@@ -130,8 +126,8 @@ def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("post_encoder_layernorm.beta", (d,), HEAD),
         ("projector.w", (d, cfg.d_proj), HEAD),
         ("projector.b", (cfg.d_proj,), HEAD),
-        ("classifier.w", (cfg.d_proj, cfg.n_classes), HEAD),
-        ("classifier.b", (cfg.n_classes,), HEAD),
+        ("classifier.w", (cfg.d_proj, N_CLASSES), HEAD),
+        ("classifier.b", (N_CLASSES,), HEAD),
     ]
     return specs
 
@@ -751,9 +747,6 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
         f.write(b"".join(chunks))
 
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
-
-
 def _descriptor_ok(desc) -> bool:
     return (
         isinstance(desc, dict)
@@ -766,24 +759,6 @@ def _descriptor_ok(desc) -> bool:
     )
 
 
-def _read_config(manifest) -> ModelConfig:
-    """The manifest's ModelConfig; CorruptCheckpoint unless it stores exactly
-    ModelConfig's fields, each of its field's type, and passes validation."""
-    config = manifest.get("config")
-    if not isinstance(config, dict) or set(config) != set(_CONFIG_TYPES):
-        raise CorruptCheckpoint(
-            f"config keys must be exactly {sorted(_CONFIG_TYPES)}, got "
-            f"{sorted(config) if isinstance(config, dict) else type(config).__name__}"
-        )
-    bad = sorted(k for k, typ in _CONFIG_TYPES.items() if type(config[k]) is not typ)
-    if bad:
-        raise CorruptCheckpoint(f"config values of the wrong type: {bad}")
-    try:
-        return ModelConfig(**config)
-    except (ValueError, ShapeMismatch) as e:
-        raise CorruptCheckpoint(f"invalid config: {e}") from e
-
-
 def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     """Float32 registry laid out by param_specs(config), read from a checkpoint.
 
@@ -793,13 +768,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     after its last tensor; ShapeMismatch unless the stored tensor names and
     shapes are exactly those of the config's layout."""
     with open(path, "rb") as f:
-        try:
-            manifest = json.loads(f.readline())
-        except ValueError as e:  # also UnicodeDecodeError
-            raise CorruptCheckpoint(f"checkpoint {path}: header is not JSON: {e}") from e
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        manifest = read_header(f, f"checkpoint {path}", CorruptCheckpoint, ("config", "tensors"))
+        if not isinstance(manifest["tensors"], list):
             raise CorruptCheckpoint(f"checkpoint {path}: header lacks a tensor list")
-        cfg = _read_config(manifest)
+        cfg = read_config(ModelConfig, manifest["config"], CorruptCheckpoint,
+                          (ValueError, ShapeMismatch))
         if not all(_descriptor_ok(desc) for desc in manifest["tensors"]):
             raise CorruptCheckpoint(f"checkpoint {path}: malformed tensor descriptor")
         specs = param_specs(cfg)

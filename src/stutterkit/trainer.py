@@ -48,7 +48,6 @@ class TrainConfig:
     early_stop_patience: int = 3
     early_stop_metric: str = "macro_f1"  # "macro_f1" | "loss"
     threshold: float = 0.5
-    seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -64,6 +63,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -127,6 +128,7 @@ def backward(
         example_grads = backward_pass(dlogits, cache, registry, cfg)
         for name in trainable:
             grads[name] += example_grads[name]
+        del cache, example_grads  # free before the next example's forward
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient for {name!r}")
@@ -204,7 +206,7 @@ def evaluate_split(
     preds = []
     targets = []
     for values, bits in examples:
-        logits, _ = forward_with_cache(values, registry, model_cfg)
+        logits = forward_with_cache(values, registry, model_cfg)[0]
         y = np.asarray(bits, dtype=np.float64)
         losses.append(bce_with_logits(logits, y))
         preds.append(predict(logits, threshold))
@@ -224,7 +226,7 @@ def fit(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     freeze: FreezeConfig | None = None,
-    seed=None,
+    seed=0,
 ) -> tuple[ParameterRegistry, list[dict]]:
     """Full fine-tuning loop.
 
@@ -234,9 +236,8 @@ def fit(
     epoch: a strict improvement in the monitored score resets the patience
     counter; after early_stop_patience consecutive non-improving epochs
     training stops, so a constant metric runs patience+1 epochs (the first
-    always improves on the -inf initial score). The shuffle stream comes
-    from `seed` when given, else train_cfg.seed. Returns (best registry,
-    per-epoch history rows).
+    always improves on the -inf initial score). `seed` seeds the shuffle
+    stream. Returns (best registry, per-epoch history rows).
     """
     if not train_examples:
         raise EmptyDataset("training split is empty")
@@ -245,7 +246,7 @@ def fit(
     if freeze is not None:
         apply_freeze(registry, freeze)
     state = TrainState()
-    rng = np.random.default_rng(train_cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     best_registry = registry.copy()
     best_score = -np.inf
     epochs_since_improvement = 0

@@ -252,7 +252,7 @@ def finite_diff_check(loss_fn, registry: ParameterRegistry, grads: dict[str, np.
 
 def tiny_model_config(**overrides) -> ModelConfig:
     base = dict(d_model=8, n_layers=2, n_heads=2, d_ffn=16, n_mels=4,
-                max_positions=4, d_proj=8, n_classes=6)
+                max_positions=4, d_proj=8)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -333,6 +333,22 @@ def curation_fixture(root, speakers=("spkA", "spkB", "spkC", "spkD"),
 
 def write_config_file(path, **keys) -> None:
     path.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
+
+
+def json_bytes(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+def without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+def rewrite_header(path, corrupt) -> None:
+    """Rewrite a checkpoint or `.melspec` dump in place with its JSON header
+    line and blob replaced by corrupt(header dict, blob) -> (bytes, bytes)."""
+    header, blob = path.read_bytes().split(b"\n", 1)
+    header, blob = corrupt(json.loads(header), blob)
+    path.write_bytes(header + b"\n" + blob)
 
 
 def edit_checkpoint_tensors(src, dst, edit) -> None:

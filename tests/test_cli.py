@@ -4,6 +4,7 @@ curate -> train -> eval chain on a small synthetic corpus."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from helpers import (
     write_tone_wav,
 )
 import stutterkit
-from stutterkit import curation, featurizer, model
+from stutterkit import cli, curation, featurizer, model
 from stutterkit.cli import main
 
 TINY_CFG = dict(
@@ -167,7 +168,8 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, want_rc",
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
-     ("n_heads=0", 2)],
+     ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
+     ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -179,6 +181,27 @@ def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc
     assert rc == want_rc
     if want_rc == 2:
         assert line.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["n_classes=6", "attention_key_bias=false", "seed=0", "n_fft=400"])
+def test_fixed_and_unused_settings_are_not_config_keys(tmp_path, capsys, line):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_tone_wav(in_dir / "c.wav", 1.0, 440.0)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    rc = main(["featurize", str(in_dir), str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_readme_config_keys_match_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1].split("Example:", 1)[0]
+    lists = re.findall(r"(?:model|trainer|featurizer)\s*\((.*?)\)", section, re.DOTALL)
+    assert len(lists) == 3
+    documented = set(re.findall(r"`(\w+)`", " ".join(lists)))
+    assert documented == cli._KNOWN_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +373,22 @@ def test_eval_threshold_sweep(pipeline, tmp_path, capsys):
         assert text.splitlines()[1].startswith("Micro F1")
     out = capsys.readouterr().out
     assert out.count("threshold") == 3
+
+
+def test_eval_threshold_defaults_to_the_config_threshold(pipeline, tmp_path):
+    root, data_dir, _, run_dir = pipeline
+    cfg_path = tmp_path / "t.cfg"
+    write_config_file(cfg_path, **TINY_CFG, threshold=0.3)
+    eval_dir = tmp_path / "eval"
+    rc = main([
+        "eval", str(run_dir / "checkpoint.bin"), str(data_dir / "test" / "manifest.csv"),
+        str(eval_dir), "--config", str(cfg_path),
+    ])
+    assert rc == 0
+    assert sorted(p.name for p in eval_dir.glob("eval_t*")) == ["eval_t0.3.json", "eval_t0.3.txt"]
+    assert json.loads((eval_dir / "eval_t0.3.json").read_text())["threshold"] == 0.3
+    manifest = json.loads((eval_dir / "run_manifest.json").read_text())
+    assert manifest["extra"]["thresholds"] == [0.3]
 
 
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):

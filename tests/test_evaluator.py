@@ -201,8 +201,6 @@ def test_length_mismatch_cases():
         f1_report([(1, 0)], [(1, 0), (0, 1)])
     with pytest.raises(LengthMismatch):
         f1_report([(1, 0), (1,)], [(1, 0), (0, 1)])
-    with pytest.raises(LengthMismatch):
-        f1_report([(1, 0)], [(1, 0)], class_names=("only_one",))
     with pytest.raises(EmptySet):
         f1_report([], [])
 
@@ -212,8 +210,6 @@ def test_default_class_names():
     assert six.class_names == LABELS
     three = f1_report([(1, 0, 0)], [(1, 0, 0)])
     assert three.class_names == ("class_0", "class_1", "class_2")
-    named = f1_report([(1, 0)], [(1, 0)], class_names=("a", "b"))
-    assert named.class_names == ("a", "b")
 
 
 def test_labels_are_the_six_disfluency_classes():
@@ -229,7 +225,7 @@ def test_labels_are_the_six_disfluency_classes():
 def _sample_report():
     targets = [(1, 1, 0), (1, 0, 1)]
     preds = [(1, 1, 1), (1, 0, 0)]
-    return f1_report(preds, targets, threshold=0.5, class_names=("a", "b", "c"))
+    return f1_report(preds, targets, threshold=0.5)
 
 
 def test_to_dict_round_trips_through_json():
@@ -238,7 +234,7 @@ def test_to_dict_round_trips_through_json():
     assert data["n_examples"] == 2
     assert data["threshold"] == 0.5
     assert data["micro_f1"] == report.micro_f1
-    assert [row["label"] for row in data["per_class"]] == ["a", "b", "c"]
+    assert [row["label"] for row in data["per_class"]] == ["class_0", "class_1", "class_2"]
     assert [row["support"] for row in data["per_class"]] == [2, 1, 1]
 
 
@@ -250,7 +246,7 @@ def test_to_text_layout():
     assert lines[1].startswith("Micro F1")
     assert lines[2].startswith("Macro F1")
     assert lines[3].startswith("Weighted F1")
-    assert lines[4].startswith("a")
+    assert lines[4].startswith("class_0")
     assert "0.7500" in lines[1]
     assert "0.6667" in lines[2]
 

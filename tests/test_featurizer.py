@@ -1,13 +1,22 @@
 """Featurizer tests: WAV decoding, mel filterbank geometry, framing counts,
 log-Mel values against a direct-summation DFT oracle, and normalization."""
 
+import json
 import math
 import wave
 
 import numpy as np
 import pytest
 
-from helpers import naive_dft_magnitude, naive_log_mel, write_pcm_wav, write_tone_wav
+from helpers import (
+    json_bytes,
+    naive_dft_magnitude,
+    naive_log_mel,
+    rewrite_header,
+    without,
+    write_pcm_wav,
+    write_tone_wav,
+)
 from stutterkit.featurizer import (
     SAMPLE_RATE,
     AudioClip,
@@ -139,11 +148,16 @@ def test_audio_clip_invariants():
 
 def test_config_validation():
     with pytest.raises(ConfigMismatch):
-        FeaturizerConfig(n_fft=512)  # inconsistent with 25 ms at 16 kHz
+        FeaturizerConfig(hop_ms=0)
     with pytest.raises(ConfigMismatch):
         FeaturizerConfig(n_mels=0)
     with pytest.raises(ConfigMismatch):
         FeaturizerConfig(log_floor=0.0)
+
+
+def test_n_fft_is_one_window():
+    assert CFG.n_fft == 400  # Whisper's 25 ms window at 16 kHz
+    assert FeaturizerConfig(window_ms=32).n_fft == 512
 
 
 def test_config_digest_distinguishes_configs():
@@ -315,10 +329,46 @@ def test_spectrogram_dump_round_trip(tmp_path):
     assert np.array_equal(back.values, spec.values.astype("<f4").astype(np.float64))
 
     header = path.read_bytes().split(b"\n", 1)[0]
-    import json
-
     parsed = json.loads(header)
     assert set(parsed) == {"n_mels", "n_frames", "config"}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda h, blob: (b"not json", blob),
+        lambda h, blob: (b"\xff\xfe", blob),
+        lambda h, blob: (b"[]", blob),
+        lambda h, blob: (json_bytes(without(h, "n_mels")), blob),
+        lambda h, blob: (json_bytes(without(h, "n_frames")), blob),
+        lambda h, blob: (json_bytes(without(h, "config")), blob),
+        lambda h, blob: (json_bytes(dict(h, config=[])), blob),
+        lambda h, blob: (json_bytes(dict(h, n_mels="80")), blob),
+        lambda h, blob: (json_bytes(dict(h, n_frames=600.0)), blob),
+        lambda h, blob: (json_bytes(dict(h, n_mels=-80, n_frames=-600)), blob),
+        lambda h, blob: (json_bytes(dict(h, n_mels=40)), blob[: len(blob) // 2]),
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], dither=0.0))), blob),
+        # a dump whose header still stores the FFT size, which window_ms determines
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], n_fft=400))), blob),
+        lambda h, blob: (json_bytes(dict(h, config=without(h["config"], "hop_ms"))), blob),
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], window_ms="25"))), blob),
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], affine_scale=4))), blob),
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], hop_ms=0))), blob),
+        lambda h, blob: (json_bytes(h), blob + b"\0\0\0\0"),
+    ],
+    ids=["not-json", "not-utf8", "not-object", "no-n-mels", "no-n-frames", "no-config",
+         "config-not-object", "mistyped-n-mels", "mistyped-n-frames", "negative-sizes",
+         "sizes-disagree-with-config", "unknown-config-key", "n-fft-config-key",
+         "missing-config-key", "mistyped-config-value", "int-for-float-config-value",
+         "invalid-config", "trailing-bytes"],
+)
+def test_spectrogram_load_rejects_corrupt_file(tmp_path, corrupt):
+    clip = AudioClip(samples=np.zeros(CFG.chunk_samples) + 0.01)
+    path = tmp_path / "clip.melspec"
+    dump_spectrogram(path, featurize(clip, CFG), CFG)
+    rewrite_header(path, corrupt)
+    with pytest.raises(CorruptFile):
+        load_spectrogram(path)
 
 
 def test_spectrogram_load_rejects_truncated(tmp_path):

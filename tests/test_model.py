@@ -2,7 +2,6 @@
 layers, whole-model forward against an independent oracle, registry layout,
 freezing, and checkpoint serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -10,10 +9,13 @@ import pytest
 
 from helpers import (
     edit_checkpoint_tensors,
+    json_bytes,
     naive_conv1d,
     oracle_encoder_layer,
     oracle_forward,
+    rewrite_header,
     tiny_model_config,
+    without,
 )
 from stutterkit.model import (
     FEATURE_EXTRACTOR,
@@ -71,14 +73,10 @@ def _layer_params(registry, layer=0):
 def test_config_validation():
     with pytest.raises(ShapeMismatch):
         ModelConfig(d_model=10, n_heads=4)
-    with pytest.raises(ShapeMismatch):
-        ModelConfig(n_classes=5)
     with pytest.raises(ValueError):
         ModelConfig(norm_placement="sandwich")
     with pytest.raises(ValueError):
         ModelConfig(ffn_activation="swish")
-    with pytest.raises(ValueError):
-        ModelConfig(attention_key_bias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -624,42 +622,35 @@ def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
         load_checkpoint(path)
 
 
-def _json(obj) -> bytes:
-    return json.dumps(obj).encode()
-
-
-def _without(d: dict, key: str) -> dict:
-    return {k: v for k, v in d.items() if k != key}
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda m, blob: (b"not json", blob),
         lambda m, blob: (b"[]", blob),
-        lambda m, blob: (_json(_without(m, "config")), blob),
-        lambda m, blob: (_json(_without(m, "tensors")), blob),
-        lambda m, blob: (_json(dict(m, config=dict(m["config"], dropout=0.1))), blob),
+        lambda m, blob: (json_bytes(without(m, "config")), blob),
+        lambda m, blob: (json_bytes(without(m, "tensors")), blob),
+        lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], dropout=0.1))), blob),
         # a post-norm checkpoint must not load as the default pre-norm
-        lambda m, blob: (_json(dict(m, config=_without(m["config"], "norm_placement"))), blob),
-        lambda m, blob: (_json(dict(m, config=dict(m["config"], d_model="8"))), blob),
-        lambda m, blob: (_json(dict(m, config=dict(m["config"], n_heads=0))), blob),
-        lambda m, blob: (_json(dict(m, tensors=[dict(m["tensors"][0], offset="0")]
+        lambda m, blob: (json_bytes(dict(m, config=without(m["config"], "norm_placement"))), blob),
+        lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], d_model="8"))), blob),
+        lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], n_heads=0))), blob),
+        lambda m, blob: (json_bytes(dict(m, tensors=[dict(m["tensors"][0], offset="0")]
                                     + m["tensors"][1:])), blob),
-        lambda m, blob: (_json(m), blob + b"\0\0\0\0"),
-        lambda m, blob: (_json(m), blob[:-16]),
+        lambda m, blob: (json_bytes(m), blob + b"\0\0\0\0"),
+        lambda m, blob: (json_bytes(m), blob[:-16]),
+        # not ModelConfig fields: the head is six-way and the key projection has no bias
+        lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], n_classes=6,
+                                                   attention_key_bias=False))), blob),
     ],
     ids=["not-json", "not-object", "no-config", "no-tensors", "unknown-config-key",
          "missing-config-key", "mistyped-config-value", "invalid-config", "bad-descriptor",
-         "trailing-bytes", "truncated"],
+         "trailing-bytes", "truncated", "n-classes-and-key-bias-keys"],
 )
 def test_checkpoint_rejects_corrupt_file(tmp_path, corrupt):
     cfg = tiny_model_config(norm_placement="post")
     path = tmp_path / "f.ckpt"
     save_checkpoint(path, build_registry(cfg, seed=35), cfg)
-    header, blob = path.read_bytes().split(b"\n", 1)
-    header, blob = corrupt(json.loads(header), blob)
-    path.write_bytes(header + b"\n" + blob)
+    rewrite_header(path, corrupt)
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 

@@ -4,6 +4,7 @@ early stopping control flow, and run-to-run determinism."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stutterkit.model import (
     ParameterRegistry,
     apply_freeze,
     build_registry,
+    forward_with_cache,
     parse_freeze_spec,
 )
 from stutterkit.trainer import (
@@ -317,6 +319,36 @@ def test_evaluate_split_counts_examples():
     assert math.isfinite(loss)
     assert report.n_examples == 5
     assert report.threshold == 0.5
+
+
+# ---------------------------------------------------------------------------
+# memory: one example's forward cache alive at a time
+
+# Long inputs and narrow weights, so the forward cache dominates traced memory.
+WIDE_T = tiny_model_config(d_model=32, d_ffn=64, n_mels=16, max_positions=128)
+
+
+def _traced(fn):
+    """(current, peak) bytes traced while fn runs and its result is held."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 - held so `current` counts it
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [
+    lambda exs, reg: backward(exs, reg, WIDE_T),
+    lambda exs, reg: evaluate_split(exs, reg, WIDE_T, threshold=0.5),
+], ids=["backward", "evaluate_split"])
+def test_one_forward_cache_alive_at_a_time(run):
+    reg = build_registry(WIDE_T, seed=40)
+    exs = _examples(3, cfg=WIDE_T, seed=41, t=256)
+    cache_bytes, _ = _traced(lambda: forward_with_cache(exs[0][0], reg, WIDE_T))
+    _, peak_one = _traced(lambda: run(exs[:1], reg))
+    _, peak_three = _traced(lambda: run(exs, reg))
+    assert peak_three - peak_one < cache_bytes / 2, (peak_one, peak_three, cache_bytes)
 
 
 # ---------------------------------------------------------------------------
