@@ -222,10 +222,11 @@ def cmd_curate(args) -> int:
     out_dir = Path(args.out_dir)
     audio_dir = Path(args.audio_dir)
     records = curation.read_inventory(args.inventory)
-    kept, rejections = curation.clean(
-        records, prune_mode=args.prune_mode, rare_threshold=args.rare_threshold
-    )
-    audio = {r.clip_id: featurizer.load_wav(audio_dir / f"{r.clip_id}.wav") for r in kept}
+    kept, rejections = curation.clean(records)
+    parts = {
+        r.clip_id: curation.pair_part(featurizer.load_wav(audio_dir / f"{r.clip_id}.wav"))
+        for r in kept
+    }
     pairs = curation.pair(kept)
     balanced = curation.balance_no_stutter(pairs, seed=args.seed)
     groups = _read_speaker_groups(args.groups)
@@ -234,7 +235,7 @@ def cmd_curate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     for split_name, clips in manifests.items():
-        manifest_path = curation.write_split(out_dir, split_name, clips, audio)
+        manifest_path = curation.write_split(out_dir, split_name, clips, parts)
         outputs.append(manifest_path)
         outputs.extend(sorted((manifest_path.parent / "audio").glob("*.wav")))
     counts_path = out_dir / "counts.json"
@@ -394,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", required=True,
                    help="JSON file mapping speaker group name to speaker ids")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prune-mode", choices=("fixed", "frequency"), default="fixed")
-    p.add_argument("--rare-threshold", type=float, default=0.01)
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("train", help="fine-tune on curated splits")

@@ -50,7 +50,6 @@ class ClipRecord:
     speaker_id: str
     duration_s: float
     annotator_votes: dict[str, int]
-    source: str = "SEP28k"
     n_speakers_in_clip: int = 1
     label: str | None = None  # single unanimous label, set by clean()
 
@@ -119,32 +118,15 @@ def _unanimous(record: ClipRecord) -> tuple[list[str], list[str]]:
     return retained, other
 
 
-def clean(
-    records: list[ClipRecord],
-    prune_mode: str = "fixed",
-    rare_threshold: float = 0.01,
-) -> tuple[list[ClipRecord], dict[str, int]]:
+def clean(records: list[ClipRecord]) -> tuple[list[ClipRecord], dict[str, int]]:
     """Filter an inventory down to usable single-label clips.
 
     Keeps a clip iff exactly one of the six retained labels is unanimous,
     its duration is at least 3 s, and it contains a single speaker. Returns
-    (kept records with .label set, rejection-reason counts). prune_mode
-    "fixed" rejects the five named rare labels; "frequency" instead computes
-    the rare set as unanimous non-retained labels appearing in fewer than
-    rare_threshold of the input records.
+    (kept records with .label set, rejection-reason counts). A clip with no
+    unanimous retained label counts as pruned_label when one of its
+    unanimous labels is in PRUNED_LABELS.
     """
-    if prune_mode not in ("fixed", "frequency"):
-        raise ValueError(f"prune_mode must be 'fixed' or 'frequency', got {prune_mode!r}")
-    if prune_mode == "frequency":
-        other_counts: Counter[str] = Counter()
-        for r in records:
-            _, other = _unanimous(r)
-            other_counts.update(other)
-        n = max(len(records), 1)
-        pruned = {l for l, c in other_counts.items() if c / n < rare_threshold}
-    else:
-        pruned = set(PRUNED_LABELS)
-
     kept: list[ClipRecord] = []
     report: Counter[str] = Counter()
     for r in records:
@@ -159,7 +141,7 @@ def clean(
                 continue
         elif len(retained) > 1:
             report["multiple_unanimous"] += 1
-        elif any(l in pruned for l in other):
+        elif any(l in PRUNED_LABELS for l in other):
             report["pruned_label"] += 1
         elif other:
             report["unretained_label"] += 1
@@ -231,16 +213,11 @@ def no_stutter_targets(pairs: list[MultiStutterClip]) -> dict[str, int]:
     }
 
 
-def balance_no_stutter(
-    pairs: list[MultiStutterClip],
-    seed: int = 0,
-    targets: dict[str, int] | None = None,
-) -> list[MultiStutterClip]:
-    """Downsample each speaker's NoStutteredWords pairs to the target count
-    (uniform without replacement, seeded); disfluent pairs pass through.
-    Original pair order is preserved."""
-    if targets is None:
-        targets = no_stutter_targets(pairs)
+def balance_no_stutter(pairs: list[MultiStutterClip], seed: int = 0) -> list[MultiStutterClip]:
+    """Downsample each speaker's NoStutteredWords pairs to its
+    no_stutter_targets count (uniform without replacement, seeded);
+    disfluent pairs pass through. Original pair order is preserved."""
+    targets = no_stutter_targets(pairs)
     ns_indices: dict[str, list[int]] = defaultdict(list)
     for i, p in enumerate(pairs):
         if p.combination_key == NO_STUTTER_KEY:
@@ -354,25 +331,29 @@ def read_inventory(path: str | Path) -> list[ClipRecord]:
                 speaker_id=row["speaker_id"],
                 duration_s=float(row["duration_s"]),
                 annotator_votes=votes,
-                source=row["source"],
                 n_speakers_in_clip=int(row["n_speakers"]),
             )
         )
     return records
 
 
+def pair_part(clip: AudioClip) -> np.ndarray:
+    """What a clip contributes to each of its pairs: its first 3 s,
+    zero-padded if shorter. A copy, so the rest of the clip can be freed."""
+    return pad_or_truncate(clip.samples, PART_SAMPLES).copy()
+
+
 def write_split(
     out_dir: str | Path,
     split_name: str,
     clips: list[MultiStutterClip],
-    audio: dict[str, AudioClip],
+    parts: dict[str, np.ndarray],
 ) -> Path:
     """Write one split: WAV files under <out_dir>/<split>/audio plus a CSV
     manifest (relative path, six label bits, combination key, speaker).
 
-    Each pair's audio is the first 3 s of its left clip then the first 3 s
-    of its right clip (each zero-padded if shorter), exactly 96,000 samples.
-    audio maps clip id to the source clip."""
+    parts maps clip id to the clip's pair_part. Each pair's audio is its
+    left part then its right part, exactly 96,000 samples."""
     split_dir = Path(out_dir) / split_name
     audio_dir = split_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
@@ -382,10 +363,7 @@ def write_split(
         writer.writerow(SPLIT_FIELDS)
         for c in clips:
             rel = f"audio/{c.pair_id}.wav"
-            samples = np.concatenate([
-                pad_or_truncate(audio[c.left_clip_id].samples, PART_SAMPLES),
-                pad_or_truncate(audio[c.right_clip_id].samples, PART_SAMPLES),
-            ])
+            samples = np.concatenate([parts[c.left_clip_id], parts[c.right_clip_id]])
             save_wav(audio_dir / f"{c.pair_id}.wav", samples)
             writer.writerow([rel, *c.labels, c.combination_key, c.speaker_id])
     return manifest_path

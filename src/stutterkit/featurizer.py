@@ -8,8 +8,6 @@ affine rescale. All functions are pure and deterministic.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import wave
 from dataclasses import asdict, dataclass
@@ -17,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .headers import read_config, read_header
+from .headers import read_config, read_header, write_file
 
 SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
@@ -44,20 +42,17 @@ class AudioClip:
     """Mono PCM samples in [-1, 1] at 16 kHz."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise UnsupportedFormat("expected mono (1-D) samples")
-        if self.sample_rate != SAMPLE_RATE:
-            raise UnsupportedFormat(f"expected {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if self.samples.size and float(np.max(np.abs(self.samples))) > 1.0 + 1e-9:
             raise UnsupportedFormat("sample amplitudes exceed [-1, 1]")
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -77,14 +72,14 @@ class FeaturizerConfig:
             raise ConfigMismatch(f"{', '.join(n for n in sizes if getattr(self, n) < 1)} must be >= 1")
         if (self.hop_ms * SAMPLE_RATE) % 1000:
             raise ConfigMismatch(f"hop_ms={self.hop_ms} is not a whole sample count")
-        if not 0 < self.chunk_length_s < math.inf:
-            raise ConfigMismatch("chunk_length_s must be positive and finite")
+        positive = ("chunk_length_s", "log_floor", "clamp_range", "affine_scale")
+        bad = [name for name in positive if not 0 < getattr(self, name) < math.inf]
+        if bad:
+            raise ConfigMismatch(f"{', '.join(bad)} must be positive and finite")
+        if not math.isfinite(self.affine_shift):
+            raise ConfigMismatch("affine_shift must be finite")
         if self.chunk_samples % self.hop:
             raise ConfigMismatch("chunk length must be a whole number of hops")
-        if not self.log_floor > 0:
-            raise ConfigMismatch("log_floor must be positive")
-        if not self.affine_scale > 0:
-            raise ConfigMismatch("affine_scale must be positive")
 
     @property
     def n_fft(self) -> int:
@@ -103,29 +98,25 @@ class FeaturizerConfig:
     def chunk_frames(self) -> int:
         return self.chunk_samples // self.hop
 
-    def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
-
 
 @dataclass
 class LogMelSpectrogram:
     """[n_mels x n_frames] matrix of (possibly normalized) log-Mel energies."""
 
     values: np.ndarray
-    n_frames: int
-    config_hash: str
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != self.n_frames:
-            raise ConfigMismatch(
-                f"values shape {self.values.shape} inconsistent with n_frames={self.n_frames}"
-            )
+        if self.values.ndim != 2:
+            raise ConfigMismatch(f"values shape {self.values.shape} is not [n_mels x n_frames]")
 
     @property
     def n_mels(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def n_frames(self) -> int:
+        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +151,7 @@ def load_wav(path: str | Path) -> AudioClip:
     if len(raw) != 2 * n_frames:
         raise CorruptFile(f"{path}: data chunk truncated ({len(raw)} bytes for {n_frames} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
-    return AudioClip(samples=samples, sample_rate=SAMPLE_RATE)
+    return AudioClip(samples=samples)
 
 
 def save_wav(path: str | Path, samples: np.ndarray) -> None:
@@ -242,7 +233,7 @@ def log_mel(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     power = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)) ** 2
     mel_energy = power @ mel_filterbank(cfg).T
     values = np.log(np.maximum(mel_energy, cfg.log_floor)).T
-    return LogMelSpectrogram(values=values, n_frames=n_frames, config_hash=cfg.digest())
+    return LogMelSpectrogram(values=values)
 
 
 def normalize(spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> LogMelSpectrogram:
@@ -252,7 +243,7 @@ def normalize(spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> LogMelSpectrogr
     """
     floor = float(spec.values.max()) - cfg.clamp_range
     values = (np.maximum(spec.values, floor) + cfg.affine_shift) / cfg.affine_scale
-    return LogMelSpectrogram(values=values, n_frames=spec.n_frames, config_hash=spec.config_hash)
+    return LogMelSpectrogram(values=values)
 
 
 def featurize(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
@@ -266,10 +257,7 @@ def featurize(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
 
 def dump_spectrogram(path: str | Path, spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> None:
     header = {"n_mels": spec.n_mels, "n_frames": spec.n_frames, "config": asdict(cfg)}
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode())
-        f.write(b"\n")
-        f.write(np.ascontiguousarray(spec.values, dtype="<f4").tobytes())
+    write_file(path, header, np.ascontiguousarray(spec.values, dtype="<f4").tobytes())
 
 
 def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerConfig]:
@@ -277,7 +265,7 @@ def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerCon
 
     Raises CorruptFile unless the header holds a valid FeaturizerConfig
     (exactly its fields, each of its type) and int sizes that match it, and
-    the blob holds exactly that many float32 values."""
+    the blob holds exactly that many finite float32 values."""
     with open(path, "rb") as f:
         header = read_header(f, path, CorruptFile, ("n_mels", "n_frames", "config"))
         blob = f.read()
@@ -293,4 +281,6 @@ def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerCon
     if len(blob) != expected:
         raise CorruptFile(f"{path}: expected {expected} value bytes, found {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(n_mels, n_frames)
-    return LogMelSpectrogram(values=values, n_frames=n_frames, config_hash=cfg.digest()), cfg
+    if not np.isfinite(values).all():
+        raise CorruptFile(f"{path}: non-finite values")
+    return LogMelSpectrogram(values=values), cfg

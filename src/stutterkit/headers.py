@@ -6,6 +6,13 @@ import json
 from dataclasses import fields
 
 
+def write_file(path, header: dict, blob: bytes) -> None:
+    """Write `header` as one line of sorted-key JSON, then `blob`."""
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        f.write(blob)
+
+
 def read_header(f, path, error: type[Exception], keys: tuple[str, ...]) -> dict:
     """The JSON object on f's next line; `error` unless it is one with every key in `keys`."""
     try:

@@ -20,7 +20,6 @@ oracle tests build float64 registries.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .headers import read_config, read_header
+from .headers import read_config, read_header, write_file
 from .labels import N_CLASSES
 
 DTYPE = np.float32  # build_registry's default and the checkpoint's storage dtype
@@ -740,11 +739,7 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
         )
         chunks.append(data)
         offset += len(data)
-    manifest = {"config": asdict(cfg), "tensors": descriptors}
-    with open(path, "wb") as f:
-        f.write(json.dumps(manifest, sort_keys=True).encode())
-        f.write(b"\n")
-        f.write(b"".join(chunks))
+    write_file(path, {"config": asdict(cfg), "tensors": descriptors}, b"".join(chunks))
 
 
 def _descriptor_ok(desc) -> bool:

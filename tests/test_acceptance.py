@@ -173,7 +173,7 @@ def test_criterion_2c_overfit_smoke():
         t = np.arange(48000) / 16000.0
         for i, bits in enumerate(patterns):
             x = 0.5 * np.sin(2.0 * np.pi * (300.0 + 150.0 * i) * t)
-            spec = featurize(AudioClip(samples=x, sample_rate=16000), feat_cfg)
+            spec = featurize(AudioClip(samples=x), feat_cfg)
             batch.append((spec.values, np.asarray(bits, dtype=float)))
         reg = build_registry(model_cfg, seed=0)
         state = TrainState()
@@ -203,7 +203,7 @@ def test_criterion_3_featurizer():
         t = np.arange(duration) / featurizer.SAMPLE_RATE
         for bin_index in (10, 17, 24, 31, 38, 45, 52, 59, 66, 73):
             tone = 0.5 * np.sin(2.0 * np.pi * centers[bin_index] * t)
-            spec = log_mel(AudioClip(samples=tone, sample_rate=16000), cfg)
+            spec = log_mel(AudioClip(samples=tone), cfg)
             frame_energy = spec.values[:, 50]
             assert int(np.argmax(frame_energy)) == bin_index, bin_index
 
@@ -217,7 +217,7 @@ def test_criterion_3_featurizer():
 
         # (c) 6 s -> 600 frames -> 300 positions through the conv stem
         six_s = 0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(96000) / 16000.0)
-        spec = featurize(AudioClip(samples=six_s, sample_rate=16000), cfg)
+        spec = featurize(AudioClip(samples=six_s), cfg)
         assert spec.values.shape == (80, 600)
         stem_out = conv_stem(spec.values, build_registry(ModelConfig(), seed=0), ModelConfig())
         assert stem_out.shape == (300, 512)
@@ -225,7 +225,7 @@ def test_criterion_3_featurizer():
         # (d) normalization range bound on 1000 random log-energy panels
         for _ in range(1000):
             fake = rng.uniform(-30.0, 5.0, size=(80, 40))
-            panel = LogMelSpectrogram(values=fake, n_frames=40, config_hash=cfg.digest())
+            panel = LogMelSpectrogram(values=fake)
             out = normalize(panel, cfg)
             assert float(out.values.max() - out.values.min()) <= 2.0
 
@@ -271,7 +271,7 @@ def test_criterion_5_curation(tmp_path):
             r.label = label
             records.append(r)
             tone = 0.4 * np.sin(2.0 * np.pi * (250.0 + 60.0 * i) * np.arange(56000) / 16000.0)
-            audio[r.clip_id] = AudioClip(tone)
+            audio[r.clip_id] = curation.pair_part(AudioClip(tone))
         pairs = curation.pair(records)
         assert len(pairs) == 20
         counts = {}
@@ -294,7 +294,7 @@ def test_criterion_5_curation(tmp_path):
                     combination_key="Block_WordRep_", speaker_id=s, episode_id=f"ep{i}",
                 )
             )
-            audio[f"l{i}"] = audio[f"r{i}"] = AudioClip(np.zeros(48000))
+            audio[f"l{i}"] = audio[f"r{i}"] = np.zeros(48000)
         published = {
             "SEP-28k-E": ({"sA"}, {"sB"}, {"sC"}),
             "SEP-28k-T": ({"sB"}, {"sC"}, {"sA"}),

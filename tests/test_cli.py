@@ -1,12 +1,14 @@
 """CLI tests: exit codes, artifacts, run manifests, and the end-to-end
 curate -> train -> eval chain on a small synthetic corpus."""
 
+import argparse
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,15 @@ import pytest
 from helpers import (
     curation_fixture,
     edit_checkpoint_tensors,
+    inventory_row,
     write_config_file,
+    write_inventory_csv,
     write_tone_wav,
 )
 import stutterkit
 from stutterkit import cli, curation, featurizer, model
 from stutterkit.cli import main
+from stutterkit.labels import LABELS, NO_STUTTER
 
 TINY_CFG = dict(
     d_model=16, n_layers=2, n_heads=2, d_ffn=32, n_mels=12, max_positions=256,
@@ -169,7 +174,9 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     "line, want_rc",
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
      ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
-     ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2)],
+     ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2),
+     ("affine_shift=inf", 2), ("clamp_range=nan", 2), ("log_floor=inf", 2),
+     ("clamp_range=-1", 2)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -202,6 +209,22 @@ def test_readme_config_keys_match_the_cli():
     assert len(lists) == 3
     documented = set(re.findall(r"`(\w+)`", " ".join(lists)))
     assert documented == cli._KNOWN_KEYS
+
+
+def test_readme_documents_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = [
+        f"{name} {option}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option not in readme
+    ]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +274,48 @@ def test_curate_unknown_plan_exits_two(pipeline):
             "--plan", "SEP-28k-Z", "--groups", str(root / "groups.json"),
         ])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "option", [["--prune-mode", "fixed"], ["--rare-threshold", "0.01"]],
+    ids=["prune-mode", "rare-threshold"],
+)
+def test_curate_has_no_prune_options(pipeline, tmp_path, option):
+    # only the fixed PRUNED_LABELS list names rare labels, so these are unknown options
+    root, _, _, _ = pipeline
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "curate", str(root / "inventory.csv"), str(root / "audio"), str(tmp_path / "x"),
+            "--plan", "SEP-28k-E", "--groups", str(root / "groups.json"), *option,
+        ])
+    assert exc.value.code == 2
+
+
+def test_curate_holds_only_the_first_3_s_of_each_clip(tmp_path):
+    # 16 kept clips of 20 s: holding them whole is 41 MB of float64 samples,
+    # while their 3 s pair parts are 6 MB
+    audio_dir = tmp_path / "audio"
+    audio_dir.mkdir()
+    labels = [*LABELS[:5], *[NO_STUTTER] * 11]
+    rows = []
+    for i, label in enumerate(labels):
+        write_tone_wav(audio_dir / f"c{i:02d}.wav", 20.0, 200.0 + 40 * i)
+        rows.append(inventory_row(f"c{i:02d}", "ep0", "s0", 20.0, label=label))
+    write_inventory_csv(tmp_path / "inventory.csv", rows)
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"4-DS": ["s0"], "DS-Set 1": [], "DS-Set 2": []}))
+    tracemalloc.start()
+    try:
+        rc = main([
+            "curate", str(tmp_path / "inventory.csv"), str(audio_dir), str(tmp_path / "out"),
+            "--plan", "SEP-28k-E", "--groups", str(groups),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    whole_clips = len(labels) * 20 * featurizer.SAMPLE_RATE * 8
+    assert peak < whole_clips / 2
 
 
 def test_curate_missing_groups_file_is_runtime_error(pipeline, tmp_path, capsys):
@@ -500,7 +565,7 @@ def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):
             )
         )
         for side in "ab":
-            audio[f"n{i}{side}"] = featurizer.AudioClip(np.zeros(curation.PART_SAMPLES))
+            audio[f"n{i}{side}"] = np.zeros(curation.PART_SAMPLES)
     manifest = curation.write_split(tmp_path, "test", clips, audio)
     eval_dir = tmp_path / "eval"
     rc = main(["eval", str(ckpt), str(manifest), str(eval_dir), "--config", str(cfg_path)])

@@ -26,6 +26,7 @@ from stutterkit.curation import (
     combination_count_report,
     no_stutter_targets,
     pair,
+    pair_part,
     read_inventory,
     read_split,
     write_count_report,
@@ -131,20 +132,16 @@ def test_clean_all_five_fixed_pruned_labels():
 
 
 def test_clean_frequency_prune_mode():
-    # 10 records: 'Echo' unanimous on 2 (20%), 'Hum' on 1 (10%)
+    # How rare a label is does not matter: only the fixed list prunes. 'Hum'
+    # is unanimous on one record in ten and still counts as unretained.
     records = (
         [_rec(f"e{i}", {"Echo": 3}) for i in range(2)]
-        + [_rec("h0", {"Hum": 3})]
-        + [_rec(f"b{i}", {"Block": 3}) for i in range(7)]
+        + [_rec("h0", {"Hum": 3}), _rec("m0", {"Music": 3})]
+        + [_rec(f"b{i}", {"Block": 3}) for i in range(6)]
     )
-    kept, report = clean(records, prune_mode="frequency", rare_threshold=0.15)
-    assert len(kept) == 7
-    assert report == {"unretained_label": 2, "pruned_label": 1}
-    # under the fixed mode neither name is in the pruned set
-    _, fixed_report = clean(records[:3], prune_mode="fixed")
-    assert fixed_report == {"unretained_label": 3}
-    with pytest.raises(ValueError):
-        clean(records, prune_mode="percentile")
+    kept, report = clean(records)
+    assert len(kept) == 6
+    assert report == {"unretained_label": 3, "pruned_label": 1}
 
 
 def test_clean_is_idempotent_on_kept_records():
@@ -208,8 +205,8 @@ def test_pair_concatenation_geometry(tmp_path):
     # left clip 2 s (padded), right clip 4 s (truncated); the written WAVs
     # hold the pair audio
     records = [_cleaned("l", "Block"), _cleaned("r", "WordRep")]
-    left = AudioClip(np.full(32000, 0.25))
-    right = AudioClip(np.full(64000, -0.25))
+    left = pair_part(AudioClip(np.full(32000, 0.25)))
+    right = pair_part(AudioClip(np.full(64000, -0.25)))
     pairs = pair(records)
     rows = read_split(write_split(tmp_path, "train", pairs, {"l": left, "r": right}))
     by_key = {
@@ -342,9 +339,11 @@ def test_balance_target_at_or_above_pool_keeps_all():
 
 
 def test_balance_respects_explicit_targets():
-    pairs = [_nsw_pair(i) for i in range(10)]
-    kept = balance_no_stutter(pairs, seed=1, targets={"s0": 3})
-    assert len(kept) == 3
+    # one disfluent group of 3 pairs sets the speaker's target to 3
+    pairs = [_disfluent_pair(i) for i in range(3)] + [_nsw_pair(i) for i in range(10)]
+    kept = balance_no_stutter(pairs, seed=1)
+    assert sum(p.combination_key == NO_STUTTER_KEY for p in kept) == 3
+    assert len(kept) == 6
 
 
 def test_balance_is_per_speaker():
@@ -511,8 +510,8 @@ def test_write_and_read_split_round_trip(tmp_path):
     clips = []
     audio = {}
     for i in range(3):
-        audio[f"a{i}"] = AudioClip(rng.uniform(-0.5, 0.5, size=PART_SAMPLES))
-        audio[f"b{i}"] = AudioClip(rng.uniform(-0.5, 0.5, size=PART_SAMPLES))
+        audio[f"a{i}"] = rng.uniform(-0.5, 0.5, size=PART_SAMPLES)
+        audio[f"b{i}"] = rng.uniform(-0.5, 0.5, size=PART_SAMPLES)
         clips.append(
             MultiStutterClip(
                 left_clip_id=f"a{i}", right_clip_id=f"b{i}",
@@ -530,9 +529,7 @@ def test_write_and_read_split_round_trip(tmp_path):
         assert row["speaker_id"] == "s0"
         loaded = load_wav(row["path"])
         assert loaded.samples.shape == (TARGET_SAMPLES,)
-        samples = np.concatenate(
-            [audio[clip.left_clip_id].samples, audio[clip.right_clip_id].samples]
-        )
+        samples = np.concatenate([audio[clip.left_clip_id], audio[clip.right_clip_id]])
         assert np.max(np.abs(loaded.samples - samples)) <= 1.0 / 32768.0
 
 
@@ -551,7 +548,7 @@ def test_full_curation_flow_on_fixture(tmp_path):
     records = read_inventory(inventory_path)
     kept, report = clean(records)
     assert len(kept) == len(records)  # fixture is all clean
-    audio = {r.clip_id: load_wav(audio_dir / f"{r.clip_id}.wav") for r in kept}
+    audio = {r.clip_id: pair_part(load_wav(audio_dir / f"{r.clip_id}.wav")) for r in kept}
     pairs = pair(kept)
     # per speaker: 5 distinct disfluent labels -> 20 pairs, 3 fluent -> 6
     assert len(pairs) == 4 * 26

@@ -1,6 +1,7 @@
-"""Property tests over generated cleaned inventories: pairing joins only
-compatible same-speaker/same-episode clips and finds every such ordered
-pair, balancing keeps the documented counts, and splitting never shares a
+"""Property tests over generated inventories: cleaning keeps and rejects
+exactly what a per-clip oracle says, pairing joins only compatible
+same-speaker/same-episode clips and finds every such ordered pair,
+balancing keeps the documented counts, and splitting never shares a
 speaker between partitions. Pairing needs no audio, so each example is
 cheap."""
 
@@ -12,17 +13,70 @@ from hypothesis import strategies as st
 from stutterkit.curation import (
     NO_STUTTER_KEY,
     PLANS,
+    PRUNED_LABELS,
     SPEAKER_GROUPS,
     ClipRecord,
     _compatible,
     balance_no_stutter,
     build_splits,
+    clean,
     pair,
 )
 from stutterkit.labels import DISFLUENT_LABELS, LABELS, NO_STUTTER
 
 SPEAKERS = ("s0", "s1", "s2")
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def raw_inventories(draw, max_clips=8):
+    """Records as read_inventory makes them: votes on the six retained labels
+    and on pruned and other labels, durations around the 3 s minimum, one
+    or two speakers."""
+    votes = st.sampled_from((0, 1, 2, 3, 3))
+    other_names = (*PRUNED_LABELS, "Echo", "Laughter")
+    return [
+        ClipRecord(
+            clip_id=f"c{i:02d}",
+            episode_id="ep0",
+            speaker_id="s0",
+            duration_s=draw(st.sampled_from((0.5, 2.99, 3.0, 3.01, 20.0))),
+            annotator_votes={
+                **{l: draw(votes) for l in draw(st.sets(st.sampled_from(LABELS), max_size=3))},
+                **{l: draw(votes) for l in draw(st.sets(st.sampled_from(other_names), max_size=2))},
+            },
+            n_speakers_in_clip=draw(st.integers(1, 2)),
+        )
+        for i in range(draw(st.integers(0, max_clips)))
+    ]
+
+
+def _oracle_reason(record):
+    """None when clean() must keep the record, else its rejection reason."""
+    unanimous = {l for l, v in record.annotator_votes.items() if v == 3}
+    retained = unanimous & set(LABELS)
+    if len(retained) > 1:
+        return "multiple_unanimous"
+    if retained:
+        if record.duration_s < 3.0:
+            return "too_short"
+        return "multiple_speakers" if record.n_speakers_in_clip > 1 else None
+    if unanimous & set(PRUNED_LABELS):
+        return "pruned_label"
+    return "unretained_label" if unanimous else "no_unanimity"
+
+
+@PROPERTY_SETTINGS
+@given(raw_inventories())
+def test_clean_matches_the_per_clip_oracle(records):
+    kept, report = clean(records)
+    reasons = [_oracle_reason(r) for r in records]
+    want_kept = [r for r, reason in zip(records, reasons) if reason is None]
+    assert [r.clip_id for r in kept] == [r.clip_id for r in want_kept]
+    for r in kept:
+        assert r.annotator_votes[r.label] == 3 and r.label in LABELS
+    assert report == Counter(reason for reason in reasons if reason is not None)
+    assert sum(report.values()) == len(records) - len(kept)
 
 
 @st.composite
