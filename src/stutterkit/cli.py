@@ -278,10 +278,9 @@ def cmd_train(args) -> int:
     if not val_examples:
         raise UsageError(f"empty validation manifest {args.val_manifest}")
     init_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
-    registry = model.build_registry(model_cfg, seed=init_seed)
+    registry = model.apply_freeze(model.build_registry(model_cfg, seed=init_seed), freeze)
     best, history = trainer.fit(
-        train_examples, val_examples, registry, model_cfg, train_cfg,
-        freeze=freeze, seed=shuffle_seed,
+        train_examples, val_examples, registry, model_cfg, train_cfg, seed=shuffle_seed
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

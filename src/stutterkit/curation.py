@@ -33,8 +33,6 @@ TARGET_SAMPLES = 2 * PART_SAMPLES
 # corpora this pipeline was designed around).
 PRUNED_LABELS = ("NaturalPause", "HardToUnderstand", "Speechless", "BadAudioQuality", "Music")
 
-SPEAKER_GROUPS = ("4-DS", "DS-Set 1", "DS-Set 2", "FB")
-
 
 class SpeakerLeak(Exception):
     """A speaker appears in more than one partition (or group)."""

@@ -257,7 +257,7 @@ def featurize(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
 
 def dump_spectrogram(path: str | Path, spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> None:
     header = {"n_mels": spec.n_mels, "n_frames": spec.n_frames, "config": asdict(cfg)}
-    write_file(path, header, np.ascontiguousarray(spec.values, dtype="<f4").tobytes())
+    write_file(path, header, [np.ascontiguousarray(spec.values, dtype="<f4")])
 
 
 def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerConfig]:

@@ -6,11 +6,13 @@ import json
 from dataclasses import fields
 
 
-def write_file(path, header: dict, blob: bytes) -> None:
-    """Write `header` as one line of sorted-key JSON, then `blob`."""
+def write_file(path, header: dict, blob) -> None:
+    """Write `header` as one line of sorted-key JSON, then the buffers of
+    `blob` (an iterable of bytes-like objects, e.g. contiguous arrays) back
+    to back, each straight from its memory."""
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(blob)
+        f.writelines(blob)
 
 
 def read_header(f, path, error: type[Exception], keys: tuple[str, ...]) -> dict:

@@ -21,7 +21,6 @@ oracle tests build float64 registries.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -617,52 +616,43 @@ def _check_finite(x, where):
         raise NonFiniteActivation(f"non-finite activation after {where}")
 
 
+# A layer is two residual blocks, run in this order: (norm key, sublayer
+# forward, sublayer backward, where a non-finite output is reported).
+_BLOCKS = (
+    ("attn_norm", _attn_sublayer_fwd, _attn_sublayer_bwd, "attention"),
+    ("ffn_norm", _ffn_sublayer_fwd, _ffn_sublayer_bwd, "ffn"),
+)
+
+
 def _encoder_layer_fwd(x, p, cfg):
-    if cfg.norm_placement == "pre":
-        a_in, ln1 = _layer_norm_fwd(x, p["attn_norm.gamma"], p["attn_norm.beta"])
-        attn_out, attn_cache = _attn_sublayer_fwd(a_in, p, cfg)
-        _check_finite(attn_out, "attention")
-        y = x + attn_out
-        f_in, ln2 = _layer_norm_fwd(y, p["ffn_norm.gamma"], p["ffn_norm.beta"])
-        ffn_out, ffn_cache = _ffn_sublayer_fwd(f_in, p, cfg)
-        _check_finite(ffn_out, "ffn")
-        z = y + ffn_out
-    else:
-        attn_out, attn_cache = _attn_sublayer_fwd(x, p, cfg)
-        _check_finite(attn_out, "attention")
-        y, ln1 = _layer_norm_fwd(x + attn_out, p["attn_norm.gamma"], p["attn_norm.beta"])
-        ffn_out, ffn_cache = _ffn_sublayer_fwd(y, p, cfg)
-        _check_finite(ffn_out, "ffn")
-        z, ln2 = _layer_norm_fwd(y + ffn_out, p["ffn_norm.gamma"], p["ffn_norm.beta"])
-    return z, (ln1, attn_cache, ln2, ffn_cache)
+    """Each block is x + sub(LN(x)) under pre-norm, LN(x + sub(x)) under post-norm."""
+    pre = cfg.norm_placement == "pre"
+    caches = []
+    for norm, sub_fwd, _, where in _BLOCKS:
+        gamma, beta = p[f"{norm}.gamma"], p[f"{norm}.beta"]
+        sub_in, ln = _layer_norm_fwd(x, gamma, beta) if pre else (x, None)
+        out, sub_cache = sub_fwd(sub_in, p, cfg)
+        _check_finite(out, where)
+        x, ln = (x + out, ln) if pre else _layer_norm_fwd(x + out, gamma, beta)
+        caches.append((ln, sub_cache))
+    return x, caches
 
 
 def _encoder_layer_bwd(dz, cache, p, cfg):
-    ln1, attn_cache, ln2, ffn_cache = cache
+    pre = cfg.norm_placement == "pre"
     grads: dict[str, np.ndarray] = {}
-    if cfg.norm_placement == "pre":
-        d_ffn_in, g = _ffn_sublayer_bwd(dz, ffn_cache, p, cfg)
+    for (norm, _, sub_bwd, _), (ln, sub_cache) in zip(_BLOCKS[::-1], cache[::-1]):
+        gamma = p[f"{norm}.gamma"]
+        if not pre:
+            dz, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(dz, ln, gamma)
+        d_sub_in, g = sub_bwd(dz, sub_cache, p, cfg)
         grads.update(g)
-        dy_branch, dg2, db2 = _layer_norm_bwd(d_ffn_in, ln2, p["ffn_norm.gamma"])
-        grads["ffn_norm.gamma"], grads["ffn_norm.beta"] = dg2, db2
-        dy = dz + dy_branch
-        d_attn_in, g = _attn_sublayer_bwd(dy, attn_cache, p, cfg)
-        grads.update(g)
-        dx_branch, dg1, db1 = _layer_norm_bwd(d_attn_in, ln1, p["attn_norm.gamma"])
-        grads["attn_norm.gamma"], grads["attn_norm.beta"] = dg1, db1
-        dx = dy + dx_branch
-    else:
-        ds2, dg2, db2 = _layer_norm_bwd(dz, ln2, p["ffn_norm.gamma"])
-        grads["ffn_norm.gamma"], grads["ffn_norm.beta"] = dg2, db2
-        dy_branch, g = _ffn_sublayer_bwd(ds2, ffn_cache, p, cfg)
-        grads.update(g)
-        dy = ds2 + dy_branch
-        ds1, dg1, db1 = _layer_norm_bwd(dy, ln1, p["attn_norm.gamma"])
-        grads["attn_norm.gamma"], grads["attn_norm.beta"] = dg1, db1
-        dx_branch, g = _attn_sublayer_bwd(ds1, attn_cache, p, cfg)
-        grads.update(g)
-        dx = ds1 + dx_branch
-    return dx, grads
+        if pre:
+            d_sub_in, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(
+                d_sub_in, ln, gamma
+            )
+        dz = dz + d_sub_in
+    return dz, grads
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +685,13 @@ def forward_with_cache(spec_values, registry, cfg):
     u = _linear_fwd(pooled, registry["projector.w"], registry["projector.b"])
     logits = _linear_fwd(u, registry["classifier.w"], registry["classifier.b"])
     _check_finite(logits, "classifier")
-    return logits, (stem_cache, n_pos, layer_caches, ln_cache, g.shape[0], pooled, u)
+    return logits, (stem_cache, n_pos, layer_caches, ln_cache, pooled, u)
 
 
 def backward_pass(dlogits, cache, registry, cfg):
     """Gradients for every parameter given d loss / d logits and a forward
     cache, in the registry's dtype."""
-    stem_cache, n_pos, layer_caches, ln_cache, t_rows, pooled, u = cache
+    stem_cache, n_pos, layer_caches, ln_cache, pooled, u = cache
     grads: dict[str, np.ndarray] = {}
     dlogits = np.asarray(dlogits, dtype=registry.dtype)
     grads["classifier.w"] = np.outer(u, dlogits)
@@ -710,7 +700,7 @@ def backward_pass(dlogits, cache, registry, cfg):
     grads["projector.w"] = np.outer(pooled, du)
     grads["projector.b"] = du
     dpooled = registry["projector.w"] @ du
-    dg = np.tile(dpooled / t_rows, (t_rows, 1))
+    dg = np.tile(dpooled / n_pos, (n_pos, 1))
     dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, registry["post_encoder_layernorm.gamma"])
     grads["post_encoder_layernorm.gamma"] = dgam
     grads["post_encoder_layernorm.beta"] = dbet
@@ -725,21 +715,21 @@ def backward_pass(dlogits, cache, registry, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one-line JSON manifest, then a little-endian f32 blob
+# Checkpoints: one-line JSON manifest, then each tensor's little-endian f32
+# bytes back to back in layout order
 
 
 def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelConfig) -> None:
-    descriptors = []
-    chunks = []
-    offset = 0
-    for name, e in registry.items():
-        data = np.ascontiguousarray(e.value, dtype="<f4").tobytes()
-        descriptors.append(
-            {"name": name, "shape": list(e.value.shape), "offset": offset, "trainable": e.trainable}
-        )
-        chunks.append(data)
-        offset += len(data)
-    write_file(path, {"config": asdict(cfg), "tensors": descriptors}, b"".join(chunks))
+    """Header {config, tensors: [{name, shape, trainable}]} in registry order,
+    then each tensor's little-endian float32 bytes, written from the array."""
+    tensors = registry.items()
+    write_file(
+        path,
+        {"config": asdict(cfg),
+         "tensors": [{"name": n, "shape": list(e.value.shape), "trainable": e.trainable}
+                     for n, e in tensors]},
+        (np.ascontiguousarray(e.value, dtype="<f4") for _, e in tensors),
+    )
 
 
 def _descriptor_ok(desc) -> bool:
@@ -748,8 +738,6 @@ def _descriptor_ok(desc) -> bool:
         and isinstance(desc.get("name"), str)
         and isinstance(desc.get("shape"), list)
         and all(type(n) is int for n in desc["shape"])
-        and type(desc.get("offset")) is int
-        and desc["offset"] >= 0
         and type(desc.get("trainable")) is bool
     )
 
@@ -757,11 +745,12 @@ def _descriptor_ok(desc) -> bool:
 def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     """Float32 registry laid out by param_specs(config), read from a checkpoint.
 
+    The blob is each tensor's float32 bytes back to back in layout order.
     Raises CorruptCheckpoint if the header is not the JSON object
     save_checkpoint writes (config and tensor descriptors), if the config is
     not exactly a valid ModelConfig, or if the blob is truncated or has bytes
     after its last tensor; ShapeMismatch unless the stored tensor names and
-    shapes are exactly those of the config's layout."""
+    shapes are exactly those of the config's layout, in its order."""
     with open(path, "rb") as f:
         manifest = read_header(f, f"checkpoint {path}", CorruptCheckpoint, ("config", "tensors"))
         if not isinstance(manifest["tensors"], list):
@@ -773,24 +762,17 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
         specs = param_specs(cfg)
         found = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
         layout = [(name, shape) for name, shape, _ in specs]
-        if sorted(found) != sorted(layout):
+        if found != layout:
             raise ShapeMismatch(
-                f"checkpoint {path} does not match its config's layout: unexpected "
+                f"checkpoint {path} does not match its config's layout in order: unexpected "
                 f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
             )
-        base = f.tell()
-        blob_size = f.seek(0, os.SEEK_END) - base
-        stored = {desc["name"]: desc for desc in manifest["tensors"]}
         reg = ParameterRegistry()
-        end = 0
-        for name, shape, group in specs:
+        for (name, shape, group), desc in zip(specs, manifest["tensors"]):
             value = np.empty(shape, dtype="<f4")
-            start = stored[name]["offset"]
-            end = max(end, start + value.nbytes)
-            f.seek(base + start)
-            if start + value.nbytes > blob_size or f.readinto(value) != value.nbytes:
+            if f.readinto(value) != value.nbytes:
                 raise CorruptCheckpoint(f"checkpoint blob truncated at tensor {name!r}")
-            reg.add(name, value, group, stored[name]["trainable"])
-    if blob_size > end:
-        raise CorruptCheckpoint(f"checkpoint {path}: {blob_size - end} bytes after the last tensor")
+            reg.add(name, value, group, desc["trainable"])
+        if f.read(1):
+            raise CorruptCheckpoint(f"checkpoint {path}: bytes after the last tensor")
     return reg, cfg

@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluator import EvalReport, f1_report, predict
-from .model import (
-    FreezeConfig,
-    ModelConfig,
-    ParameterRegistry,
-    apply_freeze,
-    backward_pass,
-    forward_with_cache,
-)
+from .model import ModelConfig, ParameterRegistry, backward_pass, forward_with_cache
 
 
 class EmptyDataset(Exception):
@@ -225,7 +218,6 @@ def fit(
     registry: ParameterRegistry,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    freeze: FreezeConfig | None = None,
     seed=0,
 ) -> tuple[ParameterRegistry, list[dict]]:
     """Full fine-tuning loop.
@@ -237,14 +229,13 @@ def fit(
     counter; after early_stop_patience consecutive non-improving epochs
     training stops, so a constant metric runs patience+1 epochs (the first
     always improves on the -inf initial score). `seed` seeds the shuffle
-    stream. Returns (best registry, per-epoch history rows).
+    stream. Only tensors the registry marks trainable change (see
+    model.apply_freeze). Returns (best registry, per-epoch history rows).
     """
     if not train_examples:
         raise EmptyDataset("training split is empty")
     if not val_examples:
         raise EmptyDataset("validation split is empty")
-    if freeze is not None:
-        apply_freeze(registry, freeze)
     state = TrainState()
     rng = np.random.default_rng(seed)
     best_registry = registry.copy()

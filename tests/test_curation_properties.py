@@ -14,7 +14,6 @@ from stutterkit.curation import (
     NO_STUTTER_KEY,
     PLANS,
     PRUNED_LABELS,
-    SPEAKER_GROUPS,
     ClipRecord,
     _compatible,
     balance_no_stutter,
@@ -25,6 +24,7 @@ from stutterkit.curation import (
 from stutterkit.labels import DISFLUENT_LABELS, LABELS, NO_STUTTER
 
 SPEAKERS = ("s0", "s1", "s2")
+SPEAKER_GROUPS = sorted({g for p in PLANS.values() for g in p.train + p.val + p.test})
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 

@@ -3,6 +3,7 @@ layers, whole-model forward against an independent oracle, registry layout,
 freezing, and checkpoint serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,43 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_ignores_stored_offsets(tmp_path):
+    """Older checkpoints carry a byte offset per tensor; the blob is read in
+    layout order whatever they say, so one pointed at conv1.w's bytes still
+    loads the saved conv1.b."""
+    cfg = TINY
+    reg = apply_freeze(build_registry(cfg, seed=39), parse_freeze_spec("Frz0-0+FrzFE", 2))
+    path = tmp_path / "o.ckpt"
+    save_checkpoint(path, reg, cfg)
+
+    def older_format(tensors):
+        offsets = np.cumsum([0] + [4 * math.prod(t["shape"]) for t in tensors])
+        for t, offset in zip(tensors, offsets.tolist()):
+            t["offset"] = offset
+        tensors[1]["offset"] = 0
+
+    edit_checkpoint_tensors(path, path, older_format)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.names()[1] == "conv1.b"
+    for name, e in reg.items():
+        assert loaded[name].tobytes() == e.value.tobytes(), name
+        assert loaded.entry(name).trainable == e.trainable, name
+
+
+def test_save_checkpoint_writes_without_copying_the_weights(tmp_path):
+    cfg = tiny_model_config(d_model=128, n_heads=4, d_ffn=512, n_mels=16, max_positions=1500)
+    reg = build_registry(cfg, seed=40)
+    weight_bytes = sum(e.value.nbytes for _, e in reg.items())
+    assert weight_bytes > 2_000_000
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "w.ckpt", reg, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * weight_bytes
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -610,8 +648,10 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
         lambda t: t.append(dict(t[-1], name="classifier.extra")),
         # classifier.w [d_proj, 6] -> [6, d_proj]: same byte count, wrong layout
         lambda t: t[-2].update(shape=t[-2]["shape"][::-1]),
+        # conv1.b and conv2.b are both [d]: swapped, every (name, shape) is kept but not the order
+        lambda t: t[1].update(name="conv2.b") or t[3].update(name="conv1.b"),
     ],
-    ids=["renamed", "missing", "extra", "misshaped"],
+    ids=["renamed", "missing", "extra", "misshaped", "reordered"],
 )
 def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
     cfg = TINY
@@ -634,7 +674,7 @@ def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
         lambda m, blob: (json_bytes(dict(m, config=without(m["config"], "norm_placement"))), blob),
         lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], d_model="8"))), blob),
         lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], n_heads=0))), blob),
-        lambda m, blob: (json_bytes(dict(m, tensors=[dict(m["tensors"][0], offset="0")]
+        lambda m, blob: (json_bytes(dict(m, tensors=[dict(m["tensors"][0], trainable="yes")]
                                     + m["tensors"][1:])), blob),
         lambda m, blob: (json_bytes(m), blob + b"\0\0\0\0"),
         lambda m, blob: (json_bytes(m), blob[:-16]),
@@ -756,7 +796,7 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     assert dgelu1.dtype == dgelu2.dtype == dtype
     assert np.array_equal(dgelu1, gelu_grad(z1, normal_cdf(z1)))
     assert np.array_equal(dgelu2, gelu_grad(z2, normal_cdf(z2)))
-    for _, z, phi in (layer[3] for layer in layers):
+    for _, z, phi in (layer[1][1] for layer in layers):
         assert phi.dtype == dtype
         assert np.array_equal(gelu_grad(z, phi), gelu_grad(z, normal_cdf(z)))
         assert np.array_equal(z * phi, gelu(z))
