@@ -262,7 +262,9 @@ def _load_examples(manifest_path: str, feat_cfg) -> list[tuple[np.ndarray, np.nd
     for row in rows:
         clip = featurizer.load_wav(row["path"])
         spec = featurizer.featurize(clip, feat_cfg)
-        examples.append((spec.values, np.asarray(row["labels"], dtype=np.float64)))
+        # train and eval compute in model.DTYPE, so holding that changes no result
+        examples.append((spec.values.astype(model.DTYPE),
+                         np.asarray(row["labels"], dtype=np.float64)))
     return examples
 
 
@@ -279,13 +281,13 @@ def cmd_train(args) -> int:
         raise UsageError(f"empty validation manifest {args.val_manifest}")
     init_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
     registry = model.apply_freeze(model.build_registry(model_cfg, seed=init_seed), freeze)
-    best, history = trainer.fit(
+    registry, history = trainer.fit(
         train_examples, val_examples, registry, model_cfg, train_cfg, seed=shuffle_seed
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
-    model.save_checkpoint(ckpt_path, best, model_cfg)
+    model.save_checkpoint(ckpt_path, registry, model_cfg)
     history_path = out_dir / "history.jsonl"
     trainer.write_history(history_path, history)
     _write_run_manifest(

@@ -9,7 +9,8 @@ All parameters live in a ParameterRegistry keyed by name and grouped into
 feature_extractor / encoder_layer_k / head so freezing strategies can be
 expressed as group predicates. Forward passes are pure reads of the registry;
 backward_pass returns gradients for every parameter given the cache recorded
-by forward_with_cache.
+by forward_with_cache. forward keeps no cache, and forward_prefix stops at an
+encoder layer so a frozen prefix's output can be computed once per clip.
 
 Compute follows the registry's dtype: the public entry points cast their
 inputs to it and every intermediate, cache entry and gradient stays in it.
@@ -659,13 +660,18 @@ def _encoder_layer_bwd(dz, cache, p, cfg):
 # Whole-model forward / backward
 
 
-def forward(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:
-    """Normalized [n_mels x T] spectrogram -> 6-vector of pre-sigmoid logits."""
-    logits, _ = forward_with_cache(spec_values, registry, cfg)
-    return logits
+@dataclass(frozen=True)
+class LayerInput:
+    """One clip's input to encoder layer `layer` (`n_layers` means the head),
+    as forward_prefix returns it."""
+
+    layer: int
+    h: np.ndarray
 
 
-def forward_with_cache(spec_values, registry, cfg):
+def _input_stage(spec_values, registry, cfg):
+    """Spectrogram -> (layer-0 input [T/2 x d_model], stem cache): cast to the
+    registry's dtype, check the input, run the stem and add positions."""
     x = np.asarray(spec_values, dtype=registry.dtype)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite values in input spectrogram")
@@ -673,11 +679,22 @@ def forward_with_cache(spec_values, registry, cfg):
     n_pos = h.shape[0]
     if n_pos > cfg.max_positions:
         raise ShapeMismatch(f"{n_pos} positions exceed max_positions={cfg.max_positions}")
-    h = h + registry["embed_positions"][:n_pos]
-    layer_caches = []
-    for k in range(cfg.n_layers):
+    return h + registry["embed_positions"][:n_pos], stem_cache
+
+
+def _run_layers(h, registry, cfg, start, stop, caches=None):
+    """Encoder layers [start, stop) over h. Each layer's cache is appended to
+    `caches` if given, and otherwise freed before the next layer runs."""
+    for k in range(start, stop):
         h, cache = _encoder_layer_fwd(h, _layer_tensors(registry, k), cfg)
-        layer_caches.append(cache)
+        if caches is not None:
+            caches.append(cache)
+        del cache
+    return h
+
+
+def _head_fwd(h, registry):
+    """Post-encoder layer norm, mean pool, projector, classifier -> (logits, cache)."""
     g, ln_cache = _layer_norm_fwd(
         h, registry["post_encoder_layernorm.gamma"], registry["post_encoder_layernorm.beta"]
     )
@@ -685,13 +702,56 @@ def forward_with_cache(spec_values, registry, cfg):
     u = _linear_fwd(pooled, registry["projector.w"], registry["projector.b"])
     logits = _linear_fwd(u, registry["classifier.w"], registry["classifier.b"])
     _check_finite(logits, "classifier")
-    return logits, (stem_cache, n_pos, layer_caches, ln_cache, pooled, u)
+    return logits, (ln_cache, pooled, u)
+
+
+def forward_prefix(
+    spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig, stop: int
+) -> LayerInput:
+    """The input of encoder layer `stop` (0 <= stop <= n_layers) for one
+    spectrogram, computed without keeping any cache."""
+    if not 0 <= stop <= cfg.n_layers:
+        raise ValueError(f"stop={stop} outside 0..{cfg.n_layers}")
+    h, _ = _input_stage(spec_values, registry, cfg)
+    return LayerInput(stop, _run_layers(h, registry, cfg, 0, stop))
+
+
+def forward(
+    x: np.ndarray | LayerInput, registry: ParameterRegistry, cfg: ModelConfig
+) -> np.ndarray:
+    """Normalized [n_mels x T] spectrogram, or a LayerInput from forward_prefix
+    under the same frozen prefix -> 6-vector of pre-sigmoid logits. Keeps no
+    cache; the logits equal forward_with_cache's bit for bit."""
+    if not isinstance(x, LayerInput):
+        x = LayerInput(0, _input_stage(x, registry, cfg)[0])
+    return _head_fwd(_run_layers(x.h, registry, cfg, x.layer, cfg.n_layers), registry)[0]
+
+
+def forward_with_cache(spec_values, registry, cfg):
+    h, stem_cache = _input_stage(spec_values, registry, cfg)
+    layer_caches = []
+    h = _run_layers(h, registry, cfg, 0, cfg.n_layers, layer_caches)
+    logits, head_cache = _head_fwd(h, registry)
+    return logits, (stem_cache, h.shape[0], layer_caches, head_cache)
+
+
+def frozen_prefix_depth(registry: ParameterRegistry, cfg: ModelConfig) -> int | None:
+    """How many leading encoder layers are frozen when the feature extractor
+    is frozen too, or None if any feature-extractor tensor trains. The
+    output of that prefix depends only on the clip (see forward_prefix)."""
+    training = {e.group for _, e in registry.items() if e.trainable}
+    if FEATURE_EXTRACTOR in training:
+        return None
+    depth = 0
+    while depth < cfg.n_layers and encoder_layer_group(depth) not in training:
+        depth += 1
+    return depth
 
 
 def backward_pass(dlogits, cache, registry, cfg):
     """Gradients for every parameter given d loss / d logits and a forward
     cache, in the registry's dtype."""
-    stem_cache, n_pos, layer_caches, ln_cache, pooled, u = cache
+    stem_cache, n_pos, layer_caches, (ln_cache, pooled, u) = cache
     grads: dict[str, np.ndarray] = {}
     dlogits = np.asarray(dlogits, dtype=registry.dtype)
     grads["classifier.w"] = np.outer(u, dlogits)
@@ -721,8 +781,11 @@ def backward_pass(dlogits, cache, registry, cfg):
 
 def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelConfig) -> None:
     """Header {config, tensors: [{name, shape, trainable}]} in registry order,
-    then each tensor's little-endian float32 bytes, written from the array."""
+    then each tensor's little-endian float32 bytes, written from the array.
+    ShapeMismatch, before the file is opened, unless the registry's names and
+    shapes are exactly cfg's layout in order (what load_checkpoint requires)."""
     tensors = registry.items()
+    _check_layout([(n, e.value.shape) for n, e in tensors], cfg, "registry")
     write_file(
         path,
         {"config": asdict(cfg),
@@ -730,6 +793,16 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
                      for n, e in tensors]},
         (np.ascontiguousarray(e.value, dtype="<f4") for _, e in tensors),
     )
+
+
+def _check_layout(found: list[tuple[str, tuple[int, ...]]], cfg: ModelConfig, what: str) -> None:
+    """ShapeMismatch unless `found` (name, shape) pairs are cfg's layout in order."""
+    layout = [(name, shape) for name, shape, _ in param_specs(cfg)]
+    if found != layout:
+        raise ShapeMismatch(
+            f"{what} does not match its config's layout in order: unexpected "
+            f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
+        )
 
 
 def _descriptor_ok(desc) -> bool:
@@ -760,13 +833,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
         if not all(_descriptor_ok(desc) for desc in manifest["tensors"]):
             raise CorruptCheckpoint(f"checkpoint {path}: malformed tensor descriptor")
         specs = param_specs(cfg)
-        found = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
-        layout = [(name, shape) for name, shape, _ in specs]
-        if found != layout:
-            raise ShapeMismatch(
-                f"checkpoint {path} does not match its config's layout in order: unexpected "
-                f"{sorted(set(found) - set(layout))}, missing {sorted(set(layout) - set(found))}"
-            )
+        _check_layout([(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]],
+                      cfg, f"checkpoint {path}")
         reg = ParameterRegistry()
         for (name, shape, group), desc in zip(specs, manifest["tensors"]):
             value = np.empty(shape, dtype="<f4")

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
 from .evaluator import EvalReport, f1_report, predict
 from .model import ModelConfig, ParameterRegistry, backward_pass, forward_with_cache
 
@@ -187,19 +188,20 @@ def train_step(
 
 
 def evaluate_split(
-    examples: list[tuple[np.ndarray, np.ndarray]],
+    examples: list[tuple[np.ndarray | model.LayerInput, np.ndarray]],
     registry: ParameterRegistry,
     model_cfg: ModelConfig,
     threshold: float,
 ) -> tuple[float, EvalReport]:
-    """(mean loss, F1 report) over a split."""
+    """(mean loss, F1 report) over a split whose inputs are spectrograms or
+    model.LayerInput outputs of the registry's frozen prefix."""
     if not examples:
         raise EmptyDataset("validation split is empty")
     losses = []
     preds = []
     targets = []
     for values, bits in examples:
-        logits = forward_with_cache(values, registry, model_cfg)[0]
+        logits = model.forward(values, registry, model_cfg)
         y = np.asarray(bits, dtype=np.float64)
         losses.append(bce_with_logits(logits, y))
         preds.append(predict(logits, threshold))
@@ -230,15 +232,30 @@ def fit(
     training stops, so a constant metric runs patience+1 epochs (the first
     always improves on the -inf initial score). `seed` seeds the shuffle
     stream. Only tensors the registry marks trainable change (see
-    model.apply_freeze). Returns (best registry, per-epoch history rows).
+    model.apply_freeze), so an improving epoch snapshots only those.
+
+    When the feature extractor and the first k encoder layers are frozen
+    (model.frozen_prefix_depth), each validation clip's layer-k input is
+    computed once, before the first epoch, and every epoch scores
+    validation from there.
+
+    Returns (registry, per-epoch history rows): the input registry itself,
+    restored to the best epoch's weights.
     """
     if not train_examples:
         raise EmptyDataset("training split is empty")
     if not val_examples:
         raise EmptyDataset("validation split is empty")
+    depth = model.frozen_prefix_depth(registry, model_cfg)
+    if depth is not None:
+        val_examples = [
+            (model.forward_prefix(values, registry, model_cfg, depth), bits)
+            for values, bits in val_examples
+        ]
+    trainable = [name for name, e in registry.items() if e.trainable]
     state = TrainState()
     rng = np.random.default_rng(seed)
-    best_registry = registry.copy()
+    best: dict[str, np.ndarray] = {}
     best_score = -np.inf
     epochs_since_improvement = 0
     history: list[dict] = []
@@ -259,7 +276,7 @@ def fit(
         improved = score > best_score
         if improved:
             best_score = score
-            best_registry = registry.copy()
+            best = {name: registry[name].copy() for name in trainable}
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
@@ -280,7 +297,9 @@ def fit(
             not improved and epochs_since_improvement >= train_cfg.early_stop_patience
         ):
             break
-    return best_registry, history
+    for name, value in best.items():
+        registry.entry(name).value = value
+    return registry, history
 
 
 def write_history(path: str | Path, history: list[dict]) -> None:

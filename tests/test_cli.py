@@ -418,6 +418,19 @@ def test_train_same_seed_reproduces_checkpoint(pipeline, tmp_path):
     assert (tmp_path / "rerun" / "history.jsonl").read_bytes() == (run_dir / "history.jsonl").read_bytes()
 
 
+def test_loaded_spectrograms_are_in_the_model_compute_dtype(pipeline):
+    """Spectrograms are held in model.DTYPE, the dtype the forward casts them
+    to, so holding them costs half of float64 and changes no result."""
+    root, data_dir, cfg_path, run_dir = pipeline
+    _, _, feat_cfg = cli._resolve_configs(str(cfg_path))
+    examples = cli._load_examples(str(data_dir / "val" / "manifest.csv"), feat_cfg)
+    assert examples
+    for values, bits in examples:
+        assert values.dtype == model.DTYPE
+        assert values.shape[0] == feat_cfg.n_mels
+        assert bits.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -39,7 +39,9 @@ from stutterkit.model import (
     erf,
     ffn,
     forward,
+    forward_prefix,
     forward_with_cache,
+    frozen_prefix_depth,
     gelu,
     gelu_grad,
     layer_norm,
@@ -592,6 +594,15 @@ def test_checkpoint_round_trip_of_float32_registry_is_bit_exact(tmp_path):
     assert forward(x, loaded, cfg).tobytes() == forward(x, reg, cfg).tobytes()
 
 
+def test_save_checkpoint_refuses_a_registry_outside_the_config_layout(tmp_path):
+    """save_checkpoint writes only what load_checkpoint reads back: a registry
+    built for another config raises before any file is opened."""
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ShapeMismatch):
+        save_checkpoint(path, build_registry(TINY, seed=44), tiny_model_config(d_ffn=32))
+    assert not path.exists()
+
+
 def test_checkpoint_rejects_truncated_blob(tmp_path):
     cfg = TINY
     reg = build_registry(cfg, seed=35)
@@ -701,6 +712,65 @@ def test_forward_with_cache_matches_forward():
     logits, cache = forward_with_cache(x, reg, TINY)
     assert np.array_equal(logits, forward(x, reg, TINY))
     assert cache is not None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("placement", ["pre", "post"])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_prefix_then_forward_equals_forward_with_cache(placement, activation, dtype):
+    """Stopping at any layer and resuming there computes the same logits as
+    the cached forward, bit for bit; so does the cache-free forward."""
+    cfg = tiny_model_config(n_layers=3, norm_placement=placement, ffn_activation=activation)
+    reg = build_registry(cfg, seed=38, dtype=dtype)
+    x = np.random.default_rng(39).uniform(-1, 1, size=(cfg.n_mels, 8))
+    want = forward_with_cache(x, reg, cfg)[0]
+    assert want.dtype == dtype
+    assert np.array_equal(forward(x, reg, cfg), want)
+    for stop in range(cfg.n_layers + 1):
+        prefix = forward_prefix(x, reg, cfg, stop)
+        assert prefix.layer == stop and prefix.h.dtype == dtype
+        assert np.array_equal(forward(prefix, reg, cfg), want), stop
+
+
+def test_forward_prefix_checks_its_input_and_stop():
+    reg = build_registry(TINY, seed=40)
+    x = np.zeros((TINY.n_mels, 8))
+    with pytest.raises(ValueError):
+        forward_prefix(x, reg, TINY, TINY.n_layers + 1)
+    with pytest.raises(ValueError):
+        forward_prefix(x, reg, TINY, -1)
+    x[0, 0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        forward_prefix(x, reg, TINY, 0)
+    with pytest.raises(ShapeMismatch):
+        forward_prefix(np.zeros((TINY.n_mels, 7)), reg, TINY, 1)
+
+
+@pytest.mark.parametrize("spec, depth", [
+    ("UnFrz0-5", None),
+    ("UnFrz0-5+FrzFE", 0),
+    ("Frz0-2", None),
+    ("Frz0-2+FrzFE", 3),
+    ("Frz0-3+FrzFE", 4),
+    ("Frz0-4+FrzFE", 5),
+    ("Frz0-5+FrzFE", 6),
+])
+def test_frozen_prefix_depth_under_audit_specs(spec, depth):
+    from stutterkit.cli import PARAM_AUDIT_SPECS
+
+    assert spec in PARAM_AUDIT_SPECS
+    cfg = tiny_model_config(n_layers=6)
+    reg = apply_freeze(build_registry(cfg, seed=42), parse_freeze_spec(spec, cfg.n_layers))
+    assert frozen_prefix_depth(reg, cfg) == depth
+
+
+def test_frozen_prefix_depth_needs_the_whole_group_frozen():
+    cfg = tiny_model_config(n_layers=2)
+    reg = apply_freeze(build_registry(cfg, seed=43), parse_freeze_spec("Frz0-1+FrzFE", 2))
+    reg.entry("layers.1.ffn.b2").trainable = True
+    assert frozen_prefix_depth(reg, cfg) == 1
+    reg.entry("embed_positions").trainable = True
+    assert frozen_prefix_depth(reg, cfg) is None
 
 
 def test_activation_helpers():

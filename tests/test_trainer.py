@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stutterkit.model as model_mod
 import stutterkit.trainer as trainer_mod
 from helpers import (
     finite_diff_check,
@@ -20,6 +21,7 @@ from stutterkit.model import (
     FEATURE_EXTRACTOR,
     HEAD,
     FreezeConfig,
+    NonFiniteInput,
     ParameterRegistry,
     apply_freeze,
     build_registry,
@@ -485,6 +487,93 @@ def test_frozen_tensors_bit_identical_after_steps():
                 assert not np.array_equal(e.value, base[name]), (spec, name)
             else:
                 assert np.array_equal(e.value, base[name]), (spec, name)
+
+
+# ---------------------------------------------------------------------------
+# fit under a frozen prefix: validation starts at the first trainable layer
+
+
+def _freeze(spec, seed, cfg=TINY):
+    return apply_freeze(build_registry(cfg, seed=seed), parse_freeze_spec(spec, cfg.n_layers))
+
+
+@pytest.mark.parametrize("spec", ["Frz0-0+FrzFE", "Frz0-1+FrzFE", "UnFrz0-1+FrzFE"])
+def test_fit_from_the_frozen_prefix_matches_the_full_forward(monkeypatch, spec):
+    """Scoring validation from the cached prefix output leaves the history and
+    the returned weights bit-identical to scoring it from the spectrogram."""
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=2, max_epochs=4, early_stop_patience=4)
+
+    def run():
+        reg = _freeze(spec, seed=50)
+        return fit(_examples(4, seed=51), _examples(3, seed=52), reg, TINY, cfg, seed=3)
+
+    best_a, hist_a = run()
+    monkeypatch.setattr(model_mod, "frozen_prefix_depth", lambda registry, cfg: None)
+    best_b, hist_b = run()
+    assert hist_a == hist_b
+    for name in best_a.names():
+        assert np.array_equal(best_a[name], best_b[name]), name
+
+
+def test_fit_runs_the_frozen_stem_once_per_validation_clip(monkeypatch):
+    val_t, calls = 6, {"val": 0}
+    real = model_mod._conv_stem_fwd
+
+    def counting(x, registry, cfg):
+        calls["val"] += x.shape[1] == val_t
+        return real(x, registry, cfg)
+
+    monkeypatch.setattr(model_mod, "_conv_stem_fwd", counting)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=2, max_epochs=3, early_stop_patience=3)
+    _, history = fit(_examples(4, seed=53), _examples(2, seed=54, t=val_t),
+                     _freeze("Frz0-0+FrzFE", seed=55), TINY, cfg)
+    assert len(history) == 3
+    assert calls["val"] == 2
+
+
+def test_fit_rejects_a_non_finite_validation_clip_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer_mod, "train_step", lambda *a: steps.append(1) or 0.5)
+    val = _examples(2, seed=56)
+    val[1][0][0, 3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        fit(_examples(2, seed=57), val, _freeze("Frz0-0+FrzFE", seed=58), TINY, TrainConfig())
+    assert steps == []
+    with pytest.raises(NonFiniteInput):  # without a frozen prefix: after the first epoch
+        fit(_examples(2, seed=57), val, _freeze("UnFrz0-1", seed=58), TINY, TrainConfig())
+    assert steps == [1]
+
+
+# Narrow inputs and wide layers, so frozen weights dominate traced memory.
+WIDE_FFN = tiny_model_config(d_model=16, d_ffn=2048, n_mels=4, max_positions=8)
+
+
+def test_fit_keeps_no_copy_of_frozen_tensors(monkeypatch):
+    """Between steps fit holds the trainable tensors' snapshot, Adam moments
+    and the validation prefix outputs, and returns the registry it trained,
+    so traced memory stays far below one copy of the frozen weights."""
+    reg = _freeze("Frz0-1+FrzFE", seed=59, cfg=WIDE_FFN)
+    frozen_bytes = sum(e.value.nbytes for _, e in reg.items() if not e.trainable)
+    trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
+    assert frozen_bytes > 50 * trainable_bytes
+    held = []
+    real = trainer_mod.evaluate_split
+
+    def traced_evaluate_split(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(trainer_mod, "evaluate_split", traced_evaluate_split)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=2, max_epochs=3, early_stop_patience=3)
+    train, val = _examples(2, cfg=WIDE_FFN, seed=60), _examples(2, cfg=WIDE_FFN, seed=61)
+    tracemalloc.start()
+    try:
+        best, history = fit(train, val, reg, WIDE_FFN, cfg)
+        held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert best is reg and len(history) == 3
+    assert max(held) < frozen_bytes / 10, (held, frozen_bytes)
 
 
 # ---------------------------------------------------------------------------
