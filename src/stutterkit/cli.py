@@ -16,14 +16,15 @@ import json
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import curation, featurizer, model, trainer
-from .evaluator import EmptySet, LengthMismatch, f1_report, predict
+from .evaluator import EmptySet, LengthMismatch, check_threshold, f1_report, predict
+from .headers import write_json
 
 
 class UsageError(Exception):
@@ -133,18 +134,6 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    inputs: list[str]
-    outputs: list[dict]
-    seed: int | None
-    timestamp: float
-    version: str
-    extra: dict | None = None
-
-
 def _write_run_manifest(
     out_dir: Path,
     command: str,
@@ -154,23 +143,17 @@ def _write_run_manifest(
     seed: int | None,
     extra: dict | None = None,
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_digest=config_digest,
-        inputs=[str(p) for p in inputs],
-        outputs=[
-            {"path": str(p.relative_to(out_dir)), "sha256": _sha256_file(p)}
-            for p in sorted(outputs)
-        ],
-        seed=seed,
-        timestamp=time.time(),
-        version=__version__,
-    )
-    if extra:
-        manifest.extra = extra
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as f:
-        json.dump(asdict(manifest), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "run_manifest.json", {
+        "command": command,
+        "config_digest": config_digest,
+        "inputs": [str(p) for p in inputs],
+        "outputs": [{"path": str(p.relative_to(out_dir)), "sha256": _sha256_file(p)}
+                    for p in sorted(outputs)],
+        "seed": seed,
+        "timestamp": time.time(),
+        "version": __version__,
+        "extra": extra or None,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +222,9 @@ def cmd_curate(args) -> int:
         outputs.append(manifest_path)
         outputs.extend(sorted((manifest_path.parent / "audio").glob("*.wav")))
     counts_path = out_dir / "counts.json"
-    curation.write_count_report(counts_path, curation.combination_count_report(manifests))
+    write_json(counts_path, curation.combination_count_report(manifests))
     rejections_path = out_dir / "rejections.json"
-    with open(rejections_path, "w", encoding="utf-8") as f:
-        json.dump(rejections, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(rejections_path, rejections)
     outputs += [counts_path, rejections_path]
     _write_run_manifest(
         out_dir, "curate", "-", [Path(args.inventory), audio_dir], outputs,
@@ -307,12 +288,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _, train_cfg, feat_cfg = _resolve_configs(args.config)
+    thresholds = args.threshold or [train_cfg.threshold]
+    try:
+        for threshold in thresholds:
+            check_threshold(threshold)
+    except ValueError as e:
+        raise UsageError(f"--threshold: {e}") from e
     registry, model_cfg = model.load_checkpoint(args.checkpoint)
     if model_cfg.n_mels != feat_cfg.n_mels:
         raise UsageError(
             f"checkpoint expects {model_cfg.n_mels} mel bins, featurizer config has {feat_cfg.n_mels}"
         )
-    thresholds = args.threshold or [train_cfg.threshold]
     examples = _load_examples(args.test_manifest, feat_cfg)
     if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")
@@ -326,7 +312,7 @@ def cmd_eval(args) -> int:
         report = f1_report(preds, targets, threshold=threshold)
         stem = f"eval_t{threshold:g}"
         json_path = out_dir / f"{stem}.json"
-        json_path.write_text(report.to_json() + "\n", encoding="utf-8")
+        write_json(json_path, report.to_dict())
         text_path = out_dir / f"{stem}.txt"
         text_path.write_text(report.to_text() + "\n", encoding="utf-8")
         outputs += [json_path, text_path]

@@ -386,9 +386,3 @@ def read_split(manifest_path: str | Path) -> list[dict]:
             }
         )
     return rows
-
-
-def write_count_report(path: str | Path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -9,7 +9,6 @@ of classes: it is inferred from the label tuples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,25 @@ class EmptySet(Exception):
     """No examples to score."""
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless threshold is a decision threshold: in [0, 1], not NaN."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, as exp(z) / (1 + exp(z)) where z < 0 so no exp overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def predict(logits: np.ndarray, threshold: float = 0.5) -> tuple[int, ...]:
     """Label bits from logits: bit i is 1 iff sigmoid(logit_i) >= threshold."""
-    z = np.asarray(logits, dtype=np.float64)
-    probs = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    probs = sigmoid(np.asarray(logits, dtype=np.float64))
     return tuple(int(p >= threshold) for p in probs)
 
 
@@ -68,9 +82,6 @@ class EvalReport:
                 )
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table: the three averages first, then one row per class."""

@@ -1,9 +1,16 @@
-"""The one-line JSON header that starts a checkpoint or a `.melspec` dump."""
+"""JSON on disk: the one-line header that starts a checkpoint or a `.melspec`
+dump, and the layout of every JSON report (`write_json`)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from pathlib import Path
+
+
+def write_json(path, obj) -> None:
+    """Write obj as a JSON report: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_file(path, header: dict, blob) -> None:

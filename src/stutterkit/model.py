@@ -6,8 +6,8 @@ self-attention encoder layers (pre- or post-norm), final layer norm, mean
 pooling over time, a linear projector, and a linear six-way classifier.
 
 All parameters live in a ParameterRegistry keyed by name and grouped into
-feature_extractor / encoder_layer_k / head so freezing strategies can be
-expressed as group predicates. Forward passes are pure reads of the registry;
+feature_extractor / encoder_layer_k / head so a freezing strategy is the
+set of groups it freezes. Forward passes are pure reads of the registry;
 backward_pass returns gradients for every parameter given the cache recorded
 by forward_with_cache. forward keeps no cache, and forward_prefix stops at an
 encoder layer so a frozen prefix's output can be computed once per clip.
@@ -235,8 +235,13 @@ def build_registry(cfg: ModelConfig, seed: int = 0, dtype=DTYPE) -> ParameterReg
 
 @dataclass(frozen=True)
 class FreezeConfig:
-    frozen_layers: frozenset[int] = frozenset()
-    freeze_feature_extractor: bool = False
+    """The param_specs groups a freeze spec freezes; the head always trains."""
+
+    frozen_groups: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if HEAD in self.frozen_groups:
+            raise ValueError(f"the {HEAD!r} group always trains")
 
 
 _FREEZE_RE = re.compile(r"^(UnFrz|Frz)(\d+)-(\d+)(\+FrzFE)?$")
@@ -258,22 +263,14 @@ def parse_freeze_spec(spec: str, n_layers: int = 6) -> FreezeConfig:
             f"bad freeze spec {spec!r}: layer range {lo}-{hi} outside 0..{n_layers - 1}"
         )
     span = set(range(lo, hi + 1))
-    frozen = set(range(n_layers)) - span if kind == "UnFrz" else span
-    return FreezeConfig(frozen_layers=frozenset(frozen), freeze_feature_extractor=fe)
-
-
-def group_trainable(group: str, freeze: FreezeConfig) -> bool:
-    """Head is always trainable; other groups follow the freeze config."""
-    if group == FEATURE_EXTRACTOR:
-        return not freeze.freeze_feature_extractor
-    if group.startswith("encoder_layer_"):
-        return int(group.rsplit("_", 1)[1]) not in freeze.frozen_layers
-    return True
+    layers = set(range(n_layers)) - span if kind == "UnFrz" else span
+    frozen = {encoder_layer_group(k) for k in layers} | ({FEATURE_EXTRACTOR} if fe else set())
+    return FreezeConfig(frozenset(frozen))
 
 
 def apply_freeze(registry: ParameterRegistry, freeze: FreezeConfig) -> ParameterRegistry:
     for _, e in registry.items():
-        e.trainable = group_trainable(e.group, freeze)
+        e.trainable = e.group not in freeze.frozen_groups
     return registry
 
 
@@ -282,7 +279,7 @@ def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
     return sum(
         int(np.prod(shape))
         for _, shape, group in param_specs(cfg)
-        if group_trainable(group, freeze)
+        if group not in freeze.frozen_groups
     )
 
 
@@ -821,9 +818,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     The blob is each tensor's float32 bytes back to back in layout order.
     Raises CorruptCheckpoint if the header is not the JSON object
     save_checkpoint writes (config and tensor descriptors), if the config is
-    not exactly a valid ModelConfig, or if the blob is truncated or has bytes
-    after its last tensor; ShapeMismatch unless the stored tensor names and
-    shapes are exactly those of the config's layout, in its order."""
+    not exactly a valid ModelConfig, or if the blob is truncated, holds a NaN
+    or infinity, or has bytes after its last tensor; ShapeMismatch unless the
+    stored tensor names and shapes are exactly those of the config's layout,
+    in its order."""
     with open(path, "rb") as f:
         manifest = read_header(f, f"checkpoint {path}", CorruptCheckpoint, ("config", "tensors"))
         if not isinstance(manifest["tensors"], list):
@@ -840,6 +838,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
             value = np.empty(shape, dtype="<f4")
             if f.readinto(value) != value.nbytes:
                 raise CorruptCheckpoint(f"checkpoint blob truncated at tensor {name!r}")
+            if not np.isfinite(value).all():
+                raise CorruptCheckpoint(f"checkpoint {path}: non-finite value in {name!r}")
             reg.add(name, value, group, desc["trainable"])
         if f.read(1):
             raise CorruptCheckpoint(f"checkpoint {path}: bytes after the last tensor")

@@ -16,13 +16,14 @@ casts that gradient to the registry's dtype.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import model
-from .evaluator import EvalReport, f1_report, predict
+from .evaluator import EvalReport, check_threshold, f1_report, predict, sigmoid
 from .model import ModelConfig, ParameterRegistry, backward_pass, forward_with_cache
 
 
@@ -53,14 +54,20 @@ class TrainConfig:
             raise ValueError(
                 f"early_stop_metric must be 'macro_f1' or 'loss', got {self.early_stop_metric!r}"
             )
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        for name in ("learning_rate", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1 or none")
+        check_threshold(self.threshold)
 
 
 @dataclass
@@ -70,15 +77,6 @@ class TrainState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -230,9 +228,11 @@ def fit(
     epoch: a strict improvement in the monitored score resets the patience
     counter; after early_stop_patience consecutive non-improving epochs
     training stops, so a constant metric runs patience+1 epochs (the first
-    always improves on the -inf initial score). `seed` seeds the shuffle
-    stream. Only tensors the registry marks trainable change (see
-    model.apply_freeze), so an improving epoch snapshots only those.
+    always improves on the -inf initial score). Training also stops after
+    the epoch in which the step count reaches max_steps, so every epoch takes
+    at least one step. `seed` seeds the shuffle stream. Only tensors the
+    registry marks trainable change (see model.apply_freeze), so an
+    improving epoch snapshots only those.
 
     When the feature extractor and the first k encoder layers are frozen
     (model.frozen_prefix_depth), each validation clip's layer-k input is
@@ -259,13 +259,11 @@ def fit(
     best_score = -np.inf
     epochs_since_improvement = 0
     history: list[dict] = []
-    steps_exhausted = False
     for epoch in range(train_cfg.max_epochs):
         order = rng.permutation(len(train_examples))
         epoch_losses = []
         for start in range(0, len(order), train_cfg.batch_size):
-            if train_cfg.max_steps is not None and state.step >= train_cfg.max_steps:
-                steps_exhausted = True
+            if state.step == train_cfg.max_steps:
                 break
             batch = [train_examples[i] for i in order[start : start + train_cfg.batch_size]]
             epoch_losses.append(train_step(batch, registry, state, model_cfg, train_cfg))
@@ -284,7 +282,7 @@ def fit(
             {
                 "epoch": epoch,
                 "step": state.step,
-                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else None,
+                "train_loss": float(np.mean(epoch_losses)),
                 "val_loss": val_loss,
                 "val_micro": report.micro_f1,
                 "val_macro": report.macro_f1,
@@ -293,7 +291,7 @@ def fit(
                 "improved": improved,
             }
         )
-        if steps_exhausted or (
+        if state.step == train_cfg.max_steps or (
             not improved and epochs_since_improvement >= train_cfg.early_stop_patience
         ):
             break

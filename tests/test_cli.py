@@ -176,7 +176,11 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
      ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
      ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2),
      ("affine_shift=inf", 2), ("clamp_range=nan", 2), ("log_floor=inf", 2),
-     ("clamp_range=-1", 2)],
+     ("clamp_range=-1", 2), ("beta1=1", 2), ("beta2=1", 2), ("beta1=-1", 2),
+     ("learning_rate=nan", 2), ("learning_rate=inf", 2), ("weight_decay=nan", 2),
+     ("eps=nan", 2), ("eps=0", 2), ("threshold=nan", 2), ("threshold=2", 2),
+     ("max_steps=0", 2), ("max_steps=-3", 2), ("weight_decay=-1", 2), ("beta1=0", 0),
+     ("weight_decay=0", 0), ("threshold=0", 0), ("threshold=1", 0)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -467,6 +471,19 @@ def test_eval_threshold_defaults_to_the_config_threshold(pipeline, tmp_path):
     assert json.loads((eval_dir / "eval_t0.3.json").read_text())["threshold"] == 0.3
     manifest = json.loads((eval_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["thresholds"] == [0.3]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "2", "-1"])
+def test_eval_rejects_thresholds_outside_unit_interval(pipeline, tmp_path, capsys, threshold):
+    root, data_dir, cfg_path, run_dir = pipeline
+    eval_dir = tmp_path / "eval"
+    rc = main([
+        "eval", str(run_dir / "checkpoint.bin"), str(data_dir / "test" / "manifest.csv"),
+        str(eval_dir), "--config", str(cfg_path), "--threshold", "0.5", threshold,
+    ])
+    assert rc == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not eval_dir.exists()
 
 
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):

@@ -29,10 +29,10 @@ from stutterkit.curation import (
     pair_part,
     read_inventory,
     read_split,
-    write_count_report,
     write_split,
 )
 from stutterkit.featurizer import AudioClip, load_wav
+from stutterkit.headers import write_json
 from stutterkit.labels import DISFLUENT_LABELS, LABELS, NO_STUTTER
 
 
@@ -535,8 +535,9 @@ def test_write_and_read_split_round_trip(tmp_path):
 
 def test_write_count_report(tmp_path):
     path = tmp_path / "counts.json"
-    write_count_report(path, {"train": {"total": 2}})
-    assert json.loads(path.read_text()) == {"train": {"total": 2}}
+    report = {"train": {"total": 2, "DS": 1}}
+    write_json(path, report)
+    assert path.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

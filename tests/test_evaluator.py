@@ -230,7 +230,7 @@ def _sample_report():
 
 def test_to_dict_round_trips_through_json():
     report = _sample_report()
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["n_examples"] == 2
     assert data["threshold"] == 0.5
     assert data["micro_f1"] == report.micro_f1

@@ -503,15 +503,19 @@ def test_registry_rejects_duplicates():
 # freezing
 
 
+def _layers(*ks):
+    return frozenset(f"encoder_layer_{k}" for k in ks)
+
+
 def test_parse_freeze_spec_grammar():
     fc = parse_freeze_spec("UnFrz0-5")
-    assert fc == FreezeConfig(frozenset(), False)
+    assert fc == FreezeConfig(frozenset())
     fc = parse_freeze_spec("Frz0-2")
-    assert fc == FreezeConfig(frozenset({0, 1, 2}), False)
+    assert fc == FreezeConfig(_layers(0, 1, 2))
     fc = parse_freeze_spec("Frz0-4+FrzFE")
-    assert fc == FreezeConfig(frozenset({0, 1, 2, 3, 4}), True)
+    assert fc == FreezeConfig(_layers(0, 1, 2, 3, 4) | {FEATURE_EXTRACTOR})
     fc = parse_freeze_spec("UnFrz2-3")
-    assert fc == FreezeConfig(frozenset({0, 1, 4, 5}), False)
+    assert fc == FreezeConfig(_layers(0, 1, 4, 5))
     for bad in ("", "Frz", "Frz0", "Frz0-9", "Frz3-1", "Unfrz0-5", "Frz0-5+FrzFe", "Frz0-5 +FrzFE"):
         with pytest.raises(FreezeSpecError):
             parse_freeze_spec(bad)
@@ -540,14 +544,26 @@ def test_count_trainable_registry_and_shape_only_agree():
 
 def test_count_trainable_monotone_in_freeze_set():
     cfg = ModelConfig()
-    prev = trainable_parameter_count(cfg, FreezeConfig(frozenset(), False))
+    prev = trainable_parameter_count(cfg, FreezeConfig(frozenset()))
     for k in range(6):
-        now = trainable_parameter_count(cfg, FreezeConfig(frozenset(range(k + 1)), False))
+        now = trainable_parameter_count(cfg, FreezeConfig(_layers(*range(k + 1))))
         assert now < prev
         prev = now
-    assert trainable_parameter_count(cfg, FreezeConfig(frozenset(), True)) < trainable_parameter_count(
-        cfg, FreezeConfig(frozenset(), False)
-    )
+    assert trainable_parameter_count(
+        cfg, FreezeConfig(frozenset({FEATURE_EXTRACTOR}))
+    ) < trainable_parameter_count(cfg, FreezeConfig(frozenset()))
+
+
+def test_audit_specs_freeze_param_spec_groups_and_never_the_head():
+    from stutterkit.cli import PARAM_AUDIT_SPECS
+
+    cfg = ModelConfig()
+    groups = {group for _, _, group in param_specs(cfg)}
+    for spec in PARAM_AUDIT_SPECS:
+        frozen = parse_freeze_spec(spec, cfg.n_layers).frozen_groups
+        assert frozen <= groups - {HEAD}, spec
+    with pytest.raises(ValueError):
+        FreezeConfig(frozenset({HEAD}))
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +708,12 @@ def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
         # not ModelConfig fields: the head is six-way and the key projection has no bias
         lambda m, blob: (json_bytes(dict(m, config=dict(m["config"], n_classes=6,
                                                    attention_key_bias=False))), blob),
+        # a NaN in the last tensor (classifier.b)
+        lambda m, blob: (json_bytes(m), blob[:-4] + np.float32(np.nan).tobytes()),
     ],
     ids=["not-json", "not-object", "no-config", "no-tensors", "unknown-config-key",
          "missing-config-key", "mistyped-config-value", "invalid-config", "bad-descriptor",
-         "trailing-bytes", "truncated", "n-classes-and-key-bias-keys"],
+         "trailing-bytes", "truncated", "n-classes-and-key-bias-keys", "non-finite-value"],
 )
 def test_checkpoint_rejects_corrupt_file(tmp_path, corrupt):
     cfg = tiny_model_config(norm_placement="post")

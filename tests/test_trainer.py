@@ -17,6 +17,7 @@ from helpers import (
     naive_bce,
     tiny_model_config,
 )
+from stutterkit.evaluator import sigmoid
 from stutterkit.model import (
     FEATURE_EXTRACTOR,
     HEAD,
@@ -39,12 +40,14 @@ from stutterkit.trainer import (
     bce_with_logits_grad,
     evaluate_split,
     fit,
-    sigmoid,
     train_step,
     write_history,
 )
 
 TINY = tiny_model_config()
+_ALL_BUT_HEAD = frozenset(
+    {FEATURE_EXTRACTOR} | {f"encoder_layer_{k}" for k in range(TINY.n_layers)}
+)
 
 
 def _examples(n, cfg=TINY, seed=0, t=8):
@@ -139,7 +142,7 @@ def test_bce_grad_formula():
 
 def test_backward_returns_only_trainable_grads():
     reg = build_registry(TINY, seed=0)
-    apply_freeze(reg, FreezeConfig(frozenset(range(TINY.n_layers)), True))
+    apply_freeze(reg, FreezeConfig(_ALL_BUT_HEAD))
     loss, grads = backward(_examples(2), reg, TINY)
     assert math.isfinite(loss)
     head_names = {n for n, e in reg.items() if e.group == HEAD}
@@ -174,7 +177,7 @@ def test_backward_head_gradients_match_finite_differences():
     # full-network checks run in the acceptance suite; this covers the
     # batch/class loss scaling through the head parameters
     reg = build_registry(TINY, seed=5, dtype=np.float64)
-    apply_freeze(reg, FreezeConfig(frozenset(range(TINY.n_layers)), True))
+    apply_freeze(reg, FreezeConfig(_ALL_BUT_HEAD))
     batch = _examples(2, seed=6)
     _, grads = backward(batch, reg, TINY)
 
@@ -455,6 +458,16 @@ def test_fit_max_steps_caps_optimizer_steps():
     cfg = TrainConfig(learning_rate=1e-4, batch_size=2, max_epochs=50, max_steps=3)
     _, history = fit(_examples(4, seed=18), _examples(2, seed=19), reg, TINY, cfg)
     assert history[-1]["step"] == 3
+
+
+def test_fit_stops_when_max_steps_is_reached_at_an_epoch_boundary():
+    # 4 examples in batches of 2: the second step ends the first epoch, so no
+    # second epoch may run (it would take no step and re-score the same weights)
+    reg = build_registry(TINY, seed=17)
+    cfg = TrainConfig(learning_rate=1e-4, batch_size=2, max_epochs=50, max_steps=2)
+    _, history = fit(_examples(4, seed=18), _examples(2, seed=19), reg, TINY, cfg)
+    assert [(row["epoch"], row["step"]) for row in history] == [(0, 2)]
+    assert math.isfinite(history[0]["train_loss"])
 
 
 def test_fit_empty_splits():
