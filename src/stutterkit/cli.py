@@ -1,7 +1,8 @@
 """Command-line interface: featurize / curate / train / eval / params.
 
-Exit codes: 0 success, 1 runtime failure (bad data, failed step), 2 usage or
-configuration error. Every run that writes artifacts also writes a
+Exit codes: 0 success, 1 runtime failure (an OSError, or a ValueError: every
+bad-data error the library raises is one), 2 usage or configuration error
+(USAGE_ERRORS, caught first). Every run that writes artifacts also writes a
 run_manifest.json recording the command, resolved-config digest, seed, input
 paths, and a sha256 digest per output file. Timestamps appear only in the
 run manifest, so reruns with the same inputs and seed are byte-identical
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import curation, featurizer, model, trainer
-from .evaluator import EmptySet, LengthMismatch, check_threshold, f1_report, predict
+from .evaluator import check_threshold, f1_report, predict
 from .headers import write_json
 
 
@@ -31,21 +32,7 @@ class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
 
 
-RUNTIME_ERRORS = (
-    featurizer.UnsupportedFormat,
-    featurizer.CorruptFile,
-    featurizer.EmptyClip,
-    curation.SpeakerLeak,
-    model.NonFiniteInput,
-    model.NonFiniteActivation,
-    model.ShapeMismatch,
-    model.CorruptCheckpoint,
-    trainer.NonFiniteGradient,
-    EmptySet,
-    LengthMismatch,
-    OSError,
-    ValueError,  # malformed inventory, manifest or groups file
-)
+RUNTIME_ERRORS = (OSError, ValueError)
 
 USAGE_ERRORS = (
     UsageError,
@@ -101,7 +88,7 @@ def _coerce(cls, overrides: dict[str, str]):
     }
     try:
         return cls(**kwargs)
-    except (ValueError, model.ShapeMismatch, featurizer.ConfigMismatch) as e:
+    except ValueError as e:
         raise UsageError(str(e)) from e
 
 
@@ -249,9 +236,18 @@ def _load_examples(manifest_path: str, feat_cfg) -> list[tuple[np.ndarray, np.nd
     return examples
 
 
+def _check_frame_count(feat_cfg, model_cfg) -> None:
+    """UsageError unless the model takes the featurizer's frame count."""
+    try:
+        model.check_frame_count(feat_cfg.chunk_frames, model_cfg)
+    except model.ShapeMismatch as e:
+        raise UsageError(f"{feat_cfg.chunk_frames}-frame clips: {e}") from e
+
+
 def cmd_train(args) -> int:
     model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
     freeze = model.parse_freeze_spec(args.freeze, model_cfg.n_layers)
+    _check_frame_count(feat_cfg, model_cfg)
     n_trainable = model.trainable_parameter_count(model_cfg, freeze)
     print(f"freeze {args.freeze}: trainable parameters {n_trainable:,}")
     train_examples = _load_examples(args.train_manifest, feat_cfg)
@@ -292,6 +288,9 @@ def cmd_eval(args) -> int:
     try:
         for threshold in thresholds:
             check_threshold(threshold)
+        names = [f"{t:g}" for t in thresholds]
+        if len(set(names)) < len(names):
+            raise ValueError(f"thresholds {names} would write one report twice")
     except ValueError as e:
         raise UsageError(f"--threshold: {e}") from e
     registry, model_cfg = model.load_checkpoint(args.checkpoint)
@@ -299,6 +298,7 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"checkpoint expects {model_cfg.n_mels} mel bins, featurizer config has {feat_cfg.n_mels}"
         )
+    _check_frame_count(feat_cfg, model_cfg)
     examples = _load_examples(args.test_manifest, feat_cfg)
     if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")

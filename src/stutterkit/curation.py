@@ -34,7 +34,7 @@ TARGET_SAMPLES = 2 * PART_SAMPLES
 PRUNED_LABELS = ("NaturalPause", "HardToUnderstand", "Speechless", "BadAudioQuality", "Music")
 
 
-class SpeakerLeak(Exception):
+class SpeakerLeak(ValueError):
     """A speaker appears in more than one partition (or group)."""
 
 

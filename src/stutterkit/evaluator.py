@@ -16,11 +16,11 @@ import numpy as np
 from .labels import LABELS
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(ValueError):
     """Predictions and targets differ in count or in width."""
 
 
-class EmptySet(Exception):
+class EmptySet(ValueError):
     """No examples to score."""
 
 

@@ -21,19 +21,19 @@ SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
 
 
-class UnsupportedFormat(Exception):
+class UnsupportedFormat(ValueError):
     """Audio is not 16-bit PCM, mono, 16 kHz."""
 
 
-class CorruptFile(Exception):
+class CorruptFile(ValueError):
     """WAV container is malformed or truncated."""
 
 
-class EmptyClip(Exception):
+class EmptyClip(ValueError):
     """Clip has zero samples."""
 
 
-class ConfigMismatch(Exception):
+class ConfigMismatch(ValueError):
     """Featurizer config is internally inconsistent or incompatible with the clip."""
 
 
@@ -269,7 +269,7 @@ def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerCon
     with open(path, "rb") as f:
         header = read_header(f, path, CorruptFile, ("n_mels", "n_frames", "config"))
         blob = f.read()
-    cfg = read_config(FeaturizerConfig, header["config"], CorruptFile, (ConfigMismatch,))
+    cfg = read_config(FeaturizerConfig, header["config"], CorruptFile)
     n_mels, n_frames = header["n_mels"], header["n_frames"]
     if type(n_mels) is not int or type(n_frames) is not int:
         raise CorruptFile(f"{path}: n_mels and n_frames must be ints")

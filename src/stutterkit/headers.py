@@ -33,9 +33,9 @@ def read_header(f, path, error: type[Exception], keys: tuple[str, ...]) -> dict:
     return header
 
 
-def read_config(cls, config, error: type[Exception], invalid: tuple[type[Exception], ...]):
+def read_config(cls, config, error: type[Exception]):
     """cls(**config); `error` unless config holds exactly cls's fields, each
-    of its default's type, and passes validation (which raises `invalid`)."""
+    of its default's type, and passes validation (which raises ValueError)."""
     types = {f.name: type(f.default) for f in fields(cls)}
     if not isinstance(config, dict) or set(config) != set(types):
         got = sorted(config) if isinstance(config, dict) else type(config).__name__
@@ -45,5 +45,5 @@ def read_config(cls, config, error: type[Exception], invalid: tuple[type[Excepti
         raise error(f"config values of the wrong type: {bad}")
     try:
         return cls(**config)
-    except invalid as e:
+    except ValueError as e:
         raise error(f"invalid config: {e}") from e

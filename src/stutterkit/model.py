@@ -38,15 +38,15 @@ FEATURE_EXTRACTOR = "feature_extractor"
 HEAD = "head"
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(ValueError):
     """Input tensor shape violates an operation's contract."""
 
 
-class NonFiniteInput(Exception):
+class NonFiniteInput(ValueError):
     """NaN or Inf in an operation's input."""
 
 
-class NonFiniteActivation(Exception):
+class NonFiniteActivation(ValueError):
     """NaN or Inf appeared mid-layer."""
 
 
@@ -268,19 +268,29 @@ def parse_freeze_spec(spec: str, n_layers: int = 6) -> FreezeConfig:
     return FreezeConfig(frozenset(frozen))
 
 
+def _frozen_groups(freeze: FreezeConfig, groups: set[str]) -> frozenset[str]:
+    """freeze.frozen_groups; ValueError if it names a group not in `groups`."""
+    unknown = freeze.frozen_groups - groups
+    if unknown:
+        raise ValueError(f"no parameter groups {sorted(unknown)}; the model has {sorted(groups)}")
+    return freeze.frozen_groups
+
+
 def apply_freeze(registry: ParameterRegistry, freeze: FreezeConfig) -> ParameterRegistry:
+    """Mark each tensor trainable unless its group is frozen; ValueError,
+    before any mark changes, if `freeze` names a group the registry lacks."""
+    frozen = _frozen_groups(freeze, {e.group for _, e in registry.items()})
     for _, e in registry.items():
-        e.trainable = e.group not in freeze.frozen_groups
+        e.trainable = e.group not in frozen
     return registry
 
 
 def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
-    """Trainable-parameter count under a freeze config; no tensors are allocated."""
-    return sum(
-        int(np.prod(shape))
-        for _, shape, group in param_specs(cfg)
-        if group not in freeze.frozen_groups
-    )
+    """Trainable-parameter count under a freeze config; no tensors are
+    allocated. ValueError if `freeze` names a group cfg's model lacks."""
+    specs = param_specs(cfg)
+    frozen = _frozen_groups(freeze, {group for _, _, group in specs})
+    return sum(int(np.prod(shape)) for _, shape, group in specs if group not in frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +535,26 @@ def ffn(x: np.ndarray, w1, b1, w2, b2, activation: str = "gelu") -> np.ndarray:
 
 
 def conv_stem(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:
-    """[n_mels x T] -> [T/2 x d_model]: conv(k3,s1,p1) + GELU, conv(k3,s2,p1) + GELU."""
+    """[n_mels x T] -> [T/2 x d_model]: conv(k3,s1,p1) + GELU, conv(k3,s2,p1) + GELU.
+    ShapeMismatch unless check_frame_count accepts T."""
     out, _ = _conv_stem_fwd(np.asarray(spec_values, dtype=registry.dtype), registry, cfg)
     return out
+
+
+def check_frame_count(n_frames: int, cfg: ModelConfig) -> None:
+    """ShapeMismatch unless the model takes n_frames frames: an even count
+    (the second conv has stride 2) whose n_frames / 2 positions fit in
+    max_positions."""
+    if n_frames % 2:
+        raise ShapeMismatch("frame count must be even (second conv has stride 2)")
+    if n_frames // 2 > cfg.max_positions:
+        raise ShapeMismatch(f"{n_frames // 2} positions exceed max_positions={cfg.max_positions}")
 
 
 def _conv_stem_fwd(x, registry, cfg):
     if x.ndim != 2 or x.shape[0] != cfg.n_mels:
         raise ShapeMismatch(f"expected [{cfg.n_mels} x T] input, got {x.shape}")
-    if x.shape[1] % 2:
-        raise ShapeMismatch("frame count must be even (second conv has stride 2)")
+    check_frame_count(x.shape[1], cfg)
     z1, cols1 = _conv1d_fwd(x, registry["conv1.w"], registry["conv1.b"], stride=1, padding=1)
     a1, phi1 = _gelu_fwd(z1)
     z2, cols2 = _conv1d_fwd(a1, registry["conv2.w"], registry["conv2.b"], stride=2, padding=1)
@@ -673,10 +693,7 @@ def _input_stage(spec_values, registry, cfg):
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite values in input spectrogram")
     h, stem_cache = _conv_stem_fwd(x, registry, cfg)
-    n_pos = h.shape[0]
-    if n_pos > cfg.max_positions:
-        raise ShapeMismatch(f"{n_pos} positions exceed max_positions={cfg.max_positions}")
-    return h + registry["embed_positions"][:n_pos], stem_cache
+    return h + registry["embed_positions"][: h.shape[0]], stem_cache
 
 
 def _run_layers(h, registry, cfg, start, stop, caches=None):
@@ -826,8 +843,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
         manifest = read_header(f, f"checkpoint {path}", CorruptCheckpoint, ("config", "tensors"))
         if not isinstance(manifest["tensors"], list):
             raise CorruptCheckpoint(f"checkpoint {path}: header lacks a tensor list")
-        cfg = read_config(ModelConfig, manifest["config"], CorruptCheckpoint,
-                          (ValueError, ShapeMismatch))
+        cfg = read_config(ModelConfig, manifest["config"], CorruptCheckpoint)
         if not all(_descriptor_ok(desc) for desc in manifest["tensors"]):
             raise CorruptCheckpoint(f"checkpoint {path}: malformed tensor descriptor")
         specs = param_specs(cfg)

@@ -31,7 +31,7 @@ class EmptyDataset(Exception):
     """Training or validation split has no examples."""
 
 
-class NonFiniteGradient(Exception):
+class NonFiniteGradient(ValueError):
     """NaN or Inf gradient; the step is refused."""
 
 
@@ -90,11 +90,12 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_element.mean())
 
 
-def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d(mean BCE)/d logits = (sigmoid(z) - y) / N, N = total element count."""
+def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray, batch_size: int = 1) -> np.ndarray:
+    """d(mean BCE)/d logits = (sigmoid(z) - y) / (N * batch_size), N = the
+    element count of z: one example's share of a batch's mean BCE."""
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    return (sigmoid(z) - y) / z.size
+    return (sigmoid(z) - y) / (z.size * batch_size)
 
 
 def backward(
@@ -113,11 +114,8 @@ def backward(
     total_loss = 0.0
     for values, bits in batch:
         logits, cache = forward_with_cache(values, registry, cfg)
-        z = logits.astype(np.float64)
-        y = np.asarray(bits, dtype=np.float64)
-        total_loss += bce_with_logits(z, y)
-        dlogits = (sigmoid(z) - y) / (z.size * n)
-        example_grads = backward_pass(dlogits, cache, registry, cfg)
+        total_loss += bce_with_logits(logits, bits)
+        example_grads = backward_pass(bce_with_logits_grad(logits, bits, n), cache, registry, cfg)
         for name in trainable:
             grads[name] += example_grads[name]
         del cache, example_grads  # free before the next example's forward

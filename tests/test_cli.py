@@ -3,8 +3,10 @@ curate -> train -> eval chain on a small synthetic corpus."""
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -486,6 +488,48 @@ def test_eval_rejects_thresholds_outside_unit_interval(pipeline, tmp_path, capsy
     assert not eval_dir.exists()
 
 
+def _fail_if_called(*args, **kwargs):
+    pytest.fail("read before the usage check ran")
+
+
+@pytest.mark.parametrize("pair", [("0.5", "0.50"), ("0.3", "0.30000001")])
+def test_eval_rejects_thresholds_that_print_alike(pipeline, tmp_path, capsys, monkeypatch, pair):
+    root, data_dir, cfg_path, run_dir = pipeline
+    monkeypatch.setattr(model, "load_checkpoint", _fail_if_called)
+    rc = main([
+        "eval", str(run_dir / "checkpoint.bin"), str(data_dir / "test" / "manifest.csv"),
+        str(tmp_path / "eval"), "--config", str(cfg_path), "--threshold", *pair,
+    ])
+    assert rc == 2
+    assert "--threshold:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("eval_t*"))
+
+
+@pytest.mark.parametrize(
+    "command, keys, reason",
+    [("train", {"chunk_length_s": 3.01}, "even"), ("train", {"max_positions": 100}, "max_positions"),
+     ("eval", {"chunk_length_s": 3.01}, "even"), ("eval", {"chunk_length_s": 6.0}, "max_positions")],
+    ids=["train-odd-frames", "train-150-positions", "eval-odd-frames", "eval-300-positions"],
+)
+def test_frame_count_the_model_cannot_take_is_usage_error(
+    pipeline, tmp_path, capsys, monkeypatch, command, keys, reason
+):
+    root, data_dir, _, run_dir = pipeline
+    cfg_path = tmp_path / "c.cfg"
+    write_config_file(cfg_path, **{**TINY_CFG, **keys})
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    inputs, options = {
+        "train": ([data_dir / "train" / "manifest.csv", data_dir / "val" / "manifest.csv"],
+                  ["--freeze", "UnFrz0-1"]),
+        "eval": ([run_dir / "checkpoint.bin", data_dir / "test" / "manifest.csv"], []),
+    }[command]
+    rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):
     root, data_dir, _, run_dir = pipeline
     rc = main([
@@ -566,6 +610,29 @@ def test_programming_errors_propagate_out_of_main(monkeypatch):
     monkeypatch.setattr(curation, "read_inventory", broken)
     with pytest.raises(TypeError, match="bug"):
         main(["curate", "inv.csv", "audio", "out", "--plan", "SEP-28k-E", "--groups", "g.json"])
+
+
+def _library_error_types() -> list[type]:
+    modules = [importlib.import_module(f"stutterkit.{m.name}")
+               for m in pkgutil.iter_modules(stutterkit.__path__) if not m.name.startswith("_")]
+    found = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__ == mod.__name__}
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+EXIT_TWO = {"UsageError", "FreezeSpecError", "ConfigMismatch", "EmptyDataset"}
+
+
+@pytest.mark.parametrize("error", [*_library_error_types(), ValueError, OSError],
+                         ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_error_type_exits_with_its_code(monkeypatch, capsys, error):
+    def raise_it(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_params", raise_it)
+    assert main(["params"]) == (2 if error.__name__ in EXIT_TWO else 1)
+    assert "boom" in capsys.readouterr().err
 
 
 def test_eval_perfect_memorizer_scores_micro_one(tmp_path, capsys):

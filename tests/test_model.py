@@ -566,6 +566,19 @@ def test_audit_specs_freeze_param_spec_groups_and_never_the_head():
         FreezeConfig(frozenset({HEAD}))
 
 
+@pytest.mark.parametrize("unknown", ["encoder_layer_9", "Feature_extractor"])
+def test_freezing_a_group_the_model_lacks_is_refused(unknown):
+    freeze = FreezeConfig(_layers(0) | {unknown})
+    with pytest.raises(ValueError, match=unknown):
+        trainable_parameter_count(ModelConfig(), freeze)
+    reg = build_registry(TINY, seed=0)  # two layers: encoder_layer_2 is unknown too
+    with pytest.raises(ValueError, match=unknown):
+        apply_freeze(reg, freeze)
+    with pytest.raises(ValueError, match="encoder_layer_2"):
+        apply_freeze(reg, FreezeConfig(_layers(2)))
+    assert all(e.trainable for _, e in reg.items())
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
