@@ -17,6 +17,7 @@ import json
 import sys
 import time
 import typing
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -224,16 +225,33 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _load_examples(manifest_path: str, feat_cfg) -> list[tuple[np.ndarray, np.ndarray]]:
-    rows = curation.read_split(manifest_path)
-    examples = []
-    for row in rows:
-        clip = featurizer.load_wav(row["path"])
-        spec = featurizer.featurize(clip, feat_cfg)
-        # train and eval compute in model.DTYPE, so holding that changes no result
-        examples.append((spec.values.astype(model.DTYPE),
-                         np.asarray(row["labels"], dtype=np.float64)))
-    return examples
+class _Examples(Sequence):
+    """A split manifest's rows as (values, label bits) examples. A clip is
+    loaded and featurized when it is indexed, so only the examples in use
+    are held; values are in model.DTYPE, the dtype train and eval compute in."""
+
+    def __init__(self, rows: list[dict], feat_cfg) -> None:
+        self.rows = rows
+        self.feat_cfg = feat_cfg
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> tuple[np.ndarray, np.ndarray]:
+        row = self.rows[i]
+        spec = featurizer.featurize(featurizer.load_wav(row["path"]), self.feat_cfg)
+        return spec.values.astype(model.DTYPE), np.asarray(row["labels"], dtype=np.float64)
+
+
+def _load_examples(manifest_path: str, feat_cfg) -> _Examples:
+    return _Examples(curation.read_split(manifest_path), feat_cfg)
+
+
+def _check_clips(examples: _Examples) -> None:
+    """Read every clip once, so one that cannot be featurized fails before any step."""
+    for row in examples.rows:
+        if not featurizer.load_wav(row["path"]).samples.size:
+            raise featurizer.EmptyClip(f"{row['path']}: no samples")
 
 
 def _check_frame_count(feat_cfg, model_cfg) -> None:
@@ -256,6 +274,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"empty training manifest {args.train_manifest}")
     if not val_examples:
         raise UsageError(f"empty validation manifest {args.val_manifest}")
+    _check_clips(train_examples)
+    _check_clips(val_examples)
     init_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
     registry = model.apply_freeze(model.build_registry(model_cfg, seed=init_seed), freeze)
     registry, history = trainer.fit(
@@ -303,7 +323,7 @@ def cmd_eval(args) -> int:
     if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")
     logits_list = [model.forward(values, registry, model_cfg) for values, _ in examples]
-    targets = [tuple(int(b) for b in bits) for _, bits in examples]
+    targets = [row["labels"] for row in examples.rows]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

@@ -8,6 +8,7 @@ affine rescale. All functions are pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import wave
 from dataclasses import asdict, dataclass
@@ -78,6 +79,8 @@ class FeaturizerConfig:
             raise ConfigMismatch(f"{', '.join(bad)} must be positive and finite")
         if not math.isfinite(self.affine_shift):
             raise ConfigMismatch("affine_shift must be finite")
+        if not math.isfinite(self.chunk_length_s * SAMPLE_RATE):
+            raise ConfigMismatch(f"chunk_length_s={self.chunk_length_s} has no finite sample count")
         if self.chunk_samples % self.hop:
             raise ConfigMismatch("chunk length must be a whole number of hops")
 
@@ -181,11 +184,15 @@ def mel_filterbank(cfg: FeaturizerConfig) -> np.ndarray:
 
     Filters are unnormalized (each peaks at 1 where a bin lands on its center).
     """
-    n_bins = cfg.n_fft // 2 + 1
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), cfg.n_mels + 2))
-    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / cfg.n_fft
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    return _filterbank(cfg.n_fft, cfg.n_mels)
+
+
+def _filterbank(n_fft: int, n_mels: int) -> np.ndarray:
+    n_bins = n_fft // 2 + 1
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), n_mels + 2))
+    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / n_fft
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         left, center, right = edges[m], edges[m + 1], edges[m + 2]
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
@@ -206,6 +213,14 @@ def mel_center_frequencies(cfg: FeaturizerConfig) -> np.ndarray:
 def hann_window(n: int) -> np.ndarray:
     # periodic Hann, the STFT convention
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
+@functools.cache
+def _stft_constants(n_fft: int, n_mels: int) -> tuple[np.ndarray, np.ndarray]:
+    """log_mel's Hann window and mel filterbank, built once per shape and read-only."""
+    window, fb = hann_window(n_fft), _filterbank(n_fft, n_mels)
+    window.flags.writeable = fb.flags.writeable = False
+    return window, fb
 
 
 def pad_or_truncate(samples: np.ndarray, target: int) -> np.ndarray:
@@ -230,8 +245,9 @@ def log_mel(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     tail = np.zeros(cfg.n_fft - cfg.hop)
     padded = np.concatenate([x, tail])
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop][:n_frames]
-    power = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)) ** 2
-    mel_energy = power @ mel_filterbank(cfg).T
+    window, fb = _stft_constants(cfg.n_fft, cfg.n_mels)
+    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    mel_energy = power @ fb.T
     values = np.log(np.maximum(mel_energy, cfg.log_floor)).T
     return LogMelSpectrogram(values=values)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,7 +185,7 @@ def train_step(
 
 
 def evaluate_split(
-    examples: list[tuple[np.ndarray | model.LayerInput, np.ndarray]],
+    examples: Sequence[tuple[np.ndarray | model.LayerInput, np.ndarray]],
     registry: ParameterRegistry,
     model_cfg: ModelConfig,
     threshold: float,
@@ -211,8 +212,8 @@ def _epoch_score(metric: str, val_loss: float, macro_f1: float) -> float:
 
 
 def fit(
-    train_examples: list[tuple[np.ndarray, np.ndarray]],
-    val_examples: list[tuple[np.ndarray, np.ndarray]],
+    train_examples: Sequence[tuple[np.ndarray, np.ndarray]],
+    val_examples: Sequence[tuple[np.ndarray, np.ndarray]],
     registry: ParameterRegistry,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -232,10 +233,12 @@ def fit(
     registry marks trainable change (see model.apply_freeze), so an
     improving epoch snapshots only those.
 
-    When the feature extractor and the first k encoder layers are frozen
-    (model.frozen_prefix_depth), each validation clip's layer-k input is
-    computed once, before the first epoch, and every epoch scores
-    validation from there.
+    `fit` indexes train_examples one batch at a time and iterates
+    val_examples once per scoring pass, so a lazy sequence holds only the
+    examples in use. When the feature extractor and the first k encoder
+    layers are frozen (model.frozen_prefix_depth), val_examples is iterated
+    once: each validation clip's layer-k input is computed before the first
+    epoch, and every epoch scores validation from there.
 
     Returns (registry, per-epoch history rows): the input registry itself,
     restored to the best epoch's weights.

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from helpers import (
     write_tone_wav,
 )
 import stutterkit
-from stutterkit import cli, curation, featurizer, model
+from stutterkit import cli, curation, featurizer, model, trainer
 from stutterkit.cli import main
 from stutterkit.labels import LABELS, NO_STUTTER
 
@@ -177,6 +178,7 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
      ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
      ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2),
+     ("chunk_length_s=1e308", 2),
      ("affine_shift=inf", 2), ("clamp_range=nan", 2), ("log_floor=inf", 2),
      ("clamp_range=-1", 2), ("beta1=1", 2), ("beta2=1", 2), ("beta1=-1", 2),
      ("learning_rate=nan", 2), ("learning_rate=inf", 2), ("weight_decay=nan", 2),
@@ -435,6 +437,155 @@ def test_loaded_spectrograms_are_in_the_model_compute_dtype(pipeline):
         assert values.dtype == model.DTYPE
         assert values.shape[0] == feat_cfg.n_mels
         assert bits.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# lazy examples: a clip is featurized when a batch or a scoring pass needs it
+
+
+def _write_noise_split(root, n, seed):
+    """A split manifest over n pairs of distinct noise clips, one label bit each."""
+    rng = np.random.default_rng(seed)
+    clips, parts = [], {}
+    for i in range(n):
+        left, right = f"c{i}a", f"c{i}b"
+        parts[left], parts[right] = rng.uniform(-0.5, 0.5, (2, curation.PART_SAMPLES))
+        labels = tuple(int(j == i % len(LABELS)) for j in range(len(LABELS)))
+        clips.append(curation.MultiStutterClip(left, right, labels, "k", "s0", "ep0"))
+    return curation.write_split(root, "split", clips, parts)
+
+
+def _clip_key(samples) -> str:
+    return hashlib.sha256(samples.tobytes()).hexdigest()
+
+
+def _count_featurized(monkeypatch) -> Counter:
+    """Calls to featurizer.featurize, counted per clip."""
+    calls = Counter()
+    featurize = featurizer.featurize
+
+    def counting(clip, cfg):
+        calls[_clip_key(clip.samples)] += 1
+        return featurize(clip, cfg)
+
+    monkeypatch.setattr(featurizer, "featurize", counting)
+    return calls
+
+
+def _featurize_counts(manifest, calls) -> list[int]:
+    """How often each row of a manifest was featurized, in row order."""
+    return [calls[_clip_key(featurizer.load_wav(row["path"]).samples)]
+            for row in curation.read_split(manifest)]
+
+
+@pytest.mark.parametrize("spec", ["UnFrz0-1", "Frz0-0+FrzFE"])
+@pytest.mark.parametrize("max_steps", [1, None], ids=["one-step", "three-epochs"])
+def test_train_featurizes_a_clip_when_a_batch_needs_it(tmp_path, monkeypatch, spec, max_steps):
+    train = _write_noise_split(tmp_path / "train", 8, seed=1)
+    val = _write_noise_split(tmp_path / "val", 3, seed=2)
+    cfg_path = tmp_path / "c.cfg"
+    write_config_file(cfg_path, **{**TINY_CFG, "batch_size": 2, "max_steps": max_steps,
+                                   "max_epochs": 3, "early_stop_patience": 3})
+    calls = _count_featurized(monkeypatch)
+    rc = main(["train", str(train), str(val), str(tmp_path / "run"), "--config", str(cfg_path),
+               "--freeze", spec])
+    assert rc == 0
+    epochs = len((tmp_path / "run" / "history.jsonl").read_text().splitlines())
+    assert epochs == (1 if max_steps else 3)
+    if max_steps:  # one 2-clip batch
+        assert sorted(_featurize_counts(train, calls)) == [0] * 6 + [1] * 2
+    else:
+        assert _featurize_counts(train, calls) == [epochs] * 8
+    # one scoring pass per epoch, or one prefix pass under a frozen prefix
+    passes = 1 if spec.endswith("+FrzFE") else epochs
+    assert _featurize_counts(val, calls) == [passes] * 3
+    assert sum(calls.values()) == sum(_featurize_counts(train, calls)) + 3 * passes
+
+
+def test_eval_featurizes_each_clip_once(pipeline, tmp_path, monkeypatch):
+    _, _, cfg_path, run_dir = pipeline
+    test = _write_noise_split(tmp_path / "test", 5, seed=3)
+    calls = _count_featurized(monkeypatch)
+    rc = main(["eval", str(run_dir / "checkpoint.bin"), str(test), str(tmp_path / "eval"),
+               "--config", str(cfg_path)])
+    assert rc == 0
+    assert _featurize_counts(test, calls) == [1] * 5
+    assert sum(calls.values()) == 5
+
+
+def _truncate(wav) -> None:
+    wav.write_bytes(wav.read_bytes()[:-100])
+
+
+def _empty(wav) -> None:
+    featurizer.save_wav(wav, np.zeros(0))
+
+
+@pytest.mark.parametrize("split, damage, error", [
+    ("train", _truncate, "CorruptFile"), ("val", _truncate, "CorruptFile"),
+    ("train", _empty, "EmptyClip"),
+], ids=["truncated-train", "truncated-val", "empty-train"])
+def test_train_bad_clip_exits_one_before_any_step(
+    pipeline, tmp_path, capsys, monkeypatch, split, damage, error
+):
+    _, _, cfg_path, _ = pipeline
+    manifests = {name: _write_noise_split(tmp_path / name, 8, seed=4) for name in ("train", "val")}
+    damage(curation.read_split(manifests[split])[-1]["path"])
+    monkeypatch.setattr(trainer, "fit", _fail_if_called)
+    out_dir = tmp_path / "run"
+    rc = main(["train", str(manifests["train"]), str(manifests["val"]), str(out_dir),
+               "--config", str(cfg_path), "--freeze", "UnFrz0-1"])
+    assert rc == 1
+    assert error in capsys.readouterr().err
+    assert not (out_dir / "checkpoint.bin").exists()
+    assert not (out_dir / "history.jsonl").exists()
+
+
+def test_eval_bad_clip_exits_one_and_writes_no_report(pipeline, tmp_path, capsys):
+    _, _, cfg_path, run_dir = pipeline
+    test = _write_noise_split(tmp_path / "test", 4, seed=5)
+    _truncate(curation.read_split(test)[-1]["path"])
+    rc = main(["eval", str(run_dir / "checkpoint.bin"), str(test), str(tmp_path / "eval"),
+               "--config", str(cfg_path)])
+    assert rc == 1
+    assert "CorruptFile" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("eval_t*"))
+
+
+# 80 mel bins over 6 s: a 192 kB float32 spectrogram, which dwarfs a manifest row
+MEMORY_CFG = {**TINY_CFG, "n_mels": 80, "chunk_length_s": 6.0, "max_positions": 300,
+              "batch_size": 2, "max_steps": 1}
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_peak_memory_does_not_grow_with_the_manifest(tmp_path, capsys, command):
+    cfg_path = tmp_path / "m.cfg"
+    write_config_file(cfg_path, **MEMORY_CFG)
+    model_cfg, _, feat_cfg = cli._resolve_configs(str(cfg_path))
+    ckpt = tmp_path / "init.bin"
+    model.save_checkpoint(ckpt, model.build_registry(model_cfg, seed=0), model_cfg)
+    manifests = {n: _write_noise_split(tmp_path / f"n{n}", n, seed=n) for n in (8, 64)}
+
+    def run(n, out):
+        inputs = {"train": [manifests[n], manifests[n]], "eval": [ckpt, manifests[n]]}[command]
+        options = ["--freeze", "UnFrz0-1"] if command == "train" else []
+        argv = [command, *map(str, inputs), str(tmp_path / out), "--config", str(cfg_path)]
+        assert main([*argv, *options]) == 0
+
+    run(8, "warm-up")  # one-off allocations (caches, lazy imports) stay out of the peaks
+    peak_8 = _traced_peak(lambda: run(8, "out8"))
+    peak_64 = _traced_peak(lambda: run(64, "out64"))
+    spectrogram_bytes = feat_cfg.n_mels * feat_cfg.chunk_frames * np.dtype(model.DTYPE).itemsize
+    assert peak_64 - peak_8 < spectrogram_bytes, (peak_8, peak_64, spectrogram_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,13 @@ def test_config_validation():
         FeaturizerConfig(log_floor=0.0)
 
 
+@pytest.mark.parametrize("seconds", [1e308, 1.7e304])
+def test_chunk_length_without_a_finite_sample_count_is_refused(seconds):
+    # 1e308 s is finite, but 1e308 * 16000 samples overflows to inf
+    with pytest.raises(ConfigMismatch, match="chunk_length_s"):
+        FeaturizerConfig(chunk_length_s=seconds)
+
+
 def test_n_fft_is_one_window():
     assert CFG.n_fft == 400  # Whisper's 25 ms window at 16 kHz
     assert FeaturizerConfig(window_ms=32).n_fft == 512
@@ -190,6 +197,17 @@ def test_filterbank_geometry():
     assert centers.shape == (80,)
     assert np.all(np.diff(centers) > 0)
     assert centers[-1] < SAMPLE_RATE / 2
+
+
+def test_stft_constants_are_shared_but_public_arrays_are_fresh():
+    clip = AudioClip(samples=np.sin(np.arange(CFG.chunk_samples) * 0.05) * 0.3)
+    before = log_mel(clip, CFG).values
+    fb, w = mel_filterbank(CFG), hann_window(CFG.n_fft)
+    fb[:] = 0.0  # the caller's copies; log_mel's constants must not change
+    w[:] = 0.0
+    assert np.array_equal(log_mel(clip, CFG).values, before)
+    assert mel_filterbank(CFG) is not mel_filterbank(CFG)
+    assert mel_filterbank(CFG).flags.writeable and hann_window(400).flags.writeable
 
 
 def test_hann_window_is_periodic():
@@ -383,6 +401,7 @@ def test_spectrogram_dump_round_trip(tmp_path):
         lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], window_ms="25"))), blob),
         lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], affine_scale=4))), blob),
         lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], hop_ms=0))), blob),
+        lambda h, blob: (json_bytes(dict(h, config=dict(h["config"], chunk_length_s=1e308))), blob),
         lambda h, blob: (json_bytes(h), blob + b"\0\0\0\0"),
         lambda h, blob: (json_bytes(h), np.float32(np.nan).tobytes() + blob[4:]),
     ],
@@ -390,7 +409,7 @@ def test_spectrogram_dump_round_trip(tmp_path):
          "config-not-object", "mistyped-n-mels", "mistyped-n-frames", "negative-sizes",
          "sizes-disagree-with-config", "unknown-config-key", "n-fft-config-key",
          "missing-config-key", "mistyped-config-value", "int-for-float-config-value",
-         "invalid-config", "trailing-bytes", "non-finite-value"],
+         "invalid-config", "uncountable-chunk-length", "trailing-bytes", "non-finite-value"],
 )
 def test_spectrogram_load_rejects_corrupt_file(tmp_path, corrupt):
     clip = AudioClip(samples=np.zeros(CFG.chunk_samples) + 0.01)
