@@ -101,6 +101,7 @@ def _resolve_configs(config_path: str | None):
     model_cfg = _coerce(model.ModelConfig, overrides)
     train_cfg = _coerce(trainer.TrainConfig, overrides)
     feat_cfg = _coerce(featurizer.FeaturizerConfig, overrides)
+    feat_cfg.check_window_fits()
     return model_cfg, train_cfg, feat_cfg
 
 

@@ -101,6 +101,12 @@ class FeaturizerConfig:
     def chunk_frames(self) -> int:
         return self.chunk_samples // self.hop
 
+    def check_window_fits(self) -> None:
+        """ConfigMismatch unless a chunk holds one FFT window (n_fft samples),
+        which log_mel needs and the CLI checks before it reads any clip."""
+        if self.n_fft > self.chunk_samples:
+            raise ConfigMismatch(f"n_fft={self.n_fft} exceeds chunk of {self.chunk_samples} samples")
+
 
 @dataclass
 class LogMelSpectrogram:
@@ -238,8 +244,7 @@ def log_mel(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     """
     if clip.samples.size == 0:
         raise EmptyClip("cannot featurize a clip with zero samples")
-    if cfg.n_fft > cfg.chunk_samples:
-        raise ConfigMismatch(f"n_fft={cfg.n_fft} exceeds chunk of {cfg.chunk_samples} samples")
+    cfg.check_window_fits()
     x = pad_or_truncate(clip.samples, cfg.chunk_samples)
     n_frames = cfg.chunk_frames
     tail = np.zeros(cfg.n_fft - cfg.hop)

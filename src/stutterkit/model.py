@@ -17,6 +17,15 @@ inputs to it and every intermediate, cache entry and gradient stays in it.
 build_registry defaults to float32 (DTYPE), the checkpoint's storage dtype,
 so a saved model is bit-for-bit the one that was trained and validated; the
 oracle tests build float64 registries.
+
+Elementwise steps write into the buffer that holds their result: softmax,
+the residual adds, and layer norm's centring and scaling. The bias add is
+the exception: done in place it raised train's peak RSS, so x @ w + b still
+makes one temporary. The elementwise chains (GELU, its derivative,
+trainer.adam_update) run over BLOCK-element pieces of their arrays (see
+blocks), so a piece stays in cache from one operation to the next. Each
+element sees the same operations in the same order as in a whole-array
+chain, so the bits are identical.
 """
 
 from __future__ import annotations
@@ -309,17 +318,35 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
           -7.37332916720468e-03, -1.42647390514189e-02)
 _math_erf = np.frompyfunc(math.erf, 1, 1)
 
+# Elements per block of an elementwise chain: 256 KiB of float32, so the few
+# arrays a chain touches at once stay in a 2 MiB L2 between its operations.
+BLOCK = 1 << 16
 
-def _erf_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite the floating array x with erf(x) and return it. float32 runs
-    the rational kernel (abs. error below 5e-7, exactly odd); any other dtype
-    takes math.erf per element."""
+
+def blocks(*arrays: np.ndarray):
+    """Yield, BLOCK elements at a time, aligned flat views of same-shaped
+    arrays that are all C-contiguous or all F-contiguous, so an elementwise
+    chain over the views writes straight into the arrays. ValueError for an
+    array with another shape or layout: a copy would drop the writes."""
+    shape = arrays[0].shape
+    order = "C" if all(a.flags.c_contiguous for a in arrays) else "F"
+    if any(a.shape != shape or not a.flags[f"{order}_CONTIGUOUS"] for a in arrays):
+        raise ValueError("blocks() needs same-shaped arrays, all C- or all F-contiguous")
+    flat = [a.reshape(-1, order=order) for a in arrays]
+    for start in range(0, flat[0].size, BLOCK):
+        yield tuple(f[start : start + BLOCK] for f in flat)
+
+
+def _erf_inplace(x: np.ndarray, x2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Overwrite the floating array x with erf(x) and return it; x2 and p are
+    scratch of x's shape and dtype. float32 runs the rational kernel (abs.
+    error below 5e-7, exactly odd); any other dtype takes math.erf per element."""
     if x.dtype != np.float32:
         x[...] = _math_erf(x)
         return x
     np.clip(x, -4.0, 4.0, out=x)
-    x2 = x * x
-    p = x2 * _ERF_P[0]
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _ERF_P[0], out=p)
     for c in _ERF_P[1:-1]:
         p += c
         p *= x2
@@ -336,30 +363,36 @@ def _erf_inplace(x: np.ndarray) -> np.ndarray:
 def erf(x: np.ndarray) -> np.ndarray:
     """erf in x's floating dtype (float64 for integer input)."""
     x = np.asarray(x)
-    return _erf_inplace(np.array(x, dtype=np.result_type(x, 0.0)))
+    y = np.array(x, dtype=np.result_type(x, 0.0))
+    return _erf_inplace(y, np.empty_like(y), np.empty_like(y))
+
+
+def _floating(x) -> np.ndarray:
+    """x as a floating array blocks() takes (copied only if it is neither C- nor F-contiguous)."""
+    x = np.asarray(x, dtype=np.result_type(x, 0.0))
+    return x if x.flags.c_contiguous or x.flags.f_contiguous else np.ascontiguousarray(x)
 
 
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gate of GELU(x) = x * Phi(x)."""
-    phi = _erf_inplace(np.asarray(x / _SQRT2))
-    phi += 1.0
-    phi *= 0.5
-    return phi
+    return _gelu_fwd(_floating(x))[1]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return x * normal_cdf(x)
+    return _gelu_fwd(_floating(x))[0]
 
 
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """d GELU / dx = Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi), given phi =
-    normal_cdf(x) from the forward pass."""
-    g = x * x
-    g *= -0.5
-    np.exp(g, out=g)
-    g *= x
-    g *= _INV_SQRT_2PI
-    g += phi
+    normal_cdf(x) from the forward pass (of x's shape and layout)."""
+    g = np.empty_like(x)
+    for xb, pb, gb in blocks(x, phi, g):
+        np.multiply(xb, xb, out=gb)
+        gb *= -0.5
+        np.exp(gb, out=gb)
+        gb *= xb
+        gb *= _INV_SQRT_2PI
+        gb += pb
     return g
 
 
@@ -375,8 +408,15 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 # one array the cache keeps: Phi(z) for GELU, a itself for ReLU.
 # backward(z, s) -> (a, da/dz), with a rebuilt bit-identically from s.
 def _gelu_fwd(z):
-    phi = normal_cdf(z)
-    return z * phi, phi
+    a, phi = np.empty_like(z), np.empty_like(z)
+    x2 = np.empty(min(z.size, BLOCK), z.dtype)
+    for zb, pb, ab in blocks(z, phi, a):
+        np.divide(zb, _SQRT2, out=pb)
+        _erf_inplace(pb, x2[: pb.size], ab)  # ab is scratch until z * Phi lands in it
+        pb += 1.0
+        pb *= 0.5
+        np.multiply(zb, pb, out=ab)
+    return a, phi
 
 
 def _gelu_bwd(z, phi):
@@ -396,8 +436,10 @@ _ACT = {"gelu": (_gelu_fwd, _gelu_bwd), "relu": (_relu_fwd, _relu_bwd)}
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
@@ -407,11 +449,14 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
 
 
 def _layer_norm_fwd(x, gamma, beta, eps=LN_EPS):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return xhat * gamma + beta, (xhat, inv_std)
+    # x - mu is taken once: its squares' mean is the variance (the reduction
+    # np.var runs, so the bits match), and it is scaled in place into xhat.
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv_std)
 
 
 def _layer_norm_bwd(dy, cache, gamma):
@@ -452,19 +497,26 @@ def _conv1d_fwd(x, w, b, stride, padding):
 
 
 def _conv1d_bwd(dy, cols, x_shape, w, stride, padding):
+    """(dx, dw, db) for _conv1d_fwd. dx is None, and costs nothing, when x_shape
+    is None (an input whose gradient no caller reads); otherwise it comes
+    first, so its patch-gradient temporary is gone before dw is allocated."""
+    dy_t = dy.T  # [T_out, C_out]
+    dx = None if x_shape is None else _conv1d_input_grad(dy_t, x_shape, w, stride, padding)
+    dw = (dy_t.T @ cols).reshape(w.shape)
+    db = dy_t.sum(axis=0)
+    return dx, dw, db
+
+
+def _conv1d_input_grad(dy_t, x_shape, w, stride, padding):
     c_in, t = x_shape
     c_out, _, k = w.shape
-    t_out = dy.shape[1]
-    dy_t = dy.T  # [T_out, C_out]
-    dw = (dy_t.T @ cols).reshape(c_out, c_in, k)
-    db = dy_t.sum(axis=0)
+    t_out = dy_t.shape[0]
     dcols = (dy_t @ w.reshape(c_out, -1)).reshape(t_out, c_in, k)
-    dxp = np.zeros((c_in, t + 2 * padding), dtype=dy.dtype)
+    dxp = np.zeros((c_in, t + 2 * padding), dtype=dy_t.dtype)
     offsets = np.arange(t_out) * stride
     for j in range(k):
         dxp[:, offsets + j] += dcols[:, :, j].T
-    dx = dxp[:, padding : padding + t] if padding else dxp
-    return dx, dw, db
+    return dxp[:, padding : padding + t] if padding else dxp
 
 
 def _split_heads(x, n_heads):
@@ -492,9 +544,12 @@ def _attention_core_bwd(dctx, cache, n_heads):
     dctx3 = _split_heads(dctx, n_heads)
     dv3 = probs.transpose(0, 2, 1) @ dctx3
     dprobs = dctx3 @ v3.transpose(0, 2, 1)
-    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-    dq3 = dscores @ k3 * scale
-    dk3 = dscores.transpose(0, 2, 1) @ q3 * scale
+    dprobs -= np.sum(dprobs * probs, axis=-1, keepdims=True)
+    dscores = np.multiply(dprobs, probs, out=dprobs)
+    dq3 = dscores @ k3
+    dq3 *= scale
+    dk3 = dscores.transpose(0, 2, 1) @ q3
+    dk3 *= scale
     return _merge_heads(dq3), _merge_heads(dk3), _merge_heads(dv3)
 
 
@@ -559,18 +614,23 @@ def _conv_stem_fwd(x, registry, cfg):
     a1, phi1 = _gelu_fwd(z1)
     z2, cols2 = _conv1d_fwd(a1, registry["conv2.w"], registry["conv2.b"], stride=2, padding=1)
     a2, phi2 = _gelu_fwd(z2)
-    # The backward reads z only through GELU's derivative, so the cache keeps
-    # that in place of z (and of Phi) and stays one array per activation.
-    cache = (x.shape, gelu_grad(z1, phi1), cols1, a1.shape, gelu_grad(z2, phi2), cols2)
-    return a2.T, cache  # [T/2, d_model]
+    return a2.T, ((x.shape, z1, phi1, cols1), (a1.shape, z2, phi2, cols2))  # [T/2, d_model]
+
+
+def _stem_cache(parts):
+    """The stem's backward cache from _conv_stem_fwd's (input shape, z, Phi(z),
+    patches) per conv. The backward reads z only through GELU's derivative, so
+    the cache keeps that in place of z (and of Phi): one array per activation."""
+    (x_shape, z1, phi1, cols1), (a1_shape, z2, phi2, cols2) = parts
+    return (x_shape, gelu_grad(z1, phi1), cols1, a1_shape, gelu_grad(z2, phi2), cols2)
 
 
 def _conv_stem_bwd(dh, cache, registry):
-    x_shape, dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
+    _, dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
     dz2 = dh.T * dgelu2
     da1, dw2, db2 = _conv1d_bwd(dz2, cols2, a1_shape, registry["conv2.w"], stride=2, padding=1)
     dz1 = da1 * dgelu1
-    _, dw1, db1 = _conv1d_bwd(dz1, cols1, x_shape, registry["conv1.w"], stride=1, padding=1)
+    _, dw1, db1 = _conv1d_bwd(dz1, cols1, None, registry["conv1.w"], stride=1, padding=1)
     return {"conv1.w": dw1, "conv1.b": db1, "conv2.w": dw2, "conv2.b": db2}
 
 
@@ -651,7 +711,8 @@ def _encoder_layer_fwd(x, p, cfg):
         sub_in, ln = _layer_norm_fwd(x, gamma, beta) if pre else (x, None)
         out, sub_cache = sub_fwd(sub_in, p, cfg)
         _check_finite(out, where)
-        x, ln = (x + out, ln) if pre else _layer_norm_fwd(x + out, gamma, beta)
+        out += x  # the residual, in out's buffer: x may be cached or the caller's
+        x, ln = (out, ln) if pre else _layer_norm_fwd(out, gamma, beta)
         caches.append((ln, sub_cache))
     return x, caches
 
@@ -686,14 +747,16 @@ class LayerInput:
     h: np.ndarray
 
 
-def _input_stage(spec_values, registry, cfg):
-    """Spectrogram -> (layer-0 input [T/2 x d_model], stem cache): cast to the
-    registry's dtype, check the input, run the stem and add positions."""
+def _input_stage(spec_values, registry, cfg, cache=False):
+    """Spectrogram -> (layer-0 input [T/2 x d_model], stem cache or None): cast
+    to the registry's dtype, check the input, run the stem and add positions.
+    The stem cache, which only the backward reads, is built if `cache`."""
     x = np.asarray(spec_values, dtype=registry.dtype)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite values in input spectrogram")
-    h, stem_cache = _conv_stem_fwd(x, registry, cfg)
-    return h + registry["embed_positions"][: h.shape[0]], stem_cache
+    h, parts = _conv_stem_fwd(x, registry, cfg)
+    h += registry["embed_positions"][: h.shape[0]]
+    return h, _stem_cache(parts) if cache else None
 
 
 def _run_layers(h, registry, cfg, start, stop, caches=None):
@@ -742,7 +805,7 @@ def forward(
 
 
 def forward_with_cache(spec_values, registry, cfg):
-    h, stem_cache = _input_stage(spec_values, registry, cfg)
+    h, stem_cache = _input_stage(spec_values, registry, cfg, cache=True)
     layer_caches = []
     h = _run_layers(h, registry, cfg, 0, cfg.n_layers, layer_caches)
     logits, head_cache = _head_fwd(h, registry)

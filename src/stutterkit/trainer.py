@@ -135,10 +135,11 @@ def adam_update(
     """One Adam step over the trainable parameters, in place. Weight decay is
     decoupled (applied directly to the weights, not through the moments).
 
-    Two scratch buffers per tensor replace the temporaries of
+    Each tensor runs, one model.BLOCK of elements at a time, the chain
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         w -= lr*wd*w;  w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-    with the same operations in the same order, so results are bit-identical."""
+    in place, with two block-sized scratch buffers for its temporaries and the
+    same operations in the same order, so results are bit-identical."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
@@ -150,25 +151,25 @@ def adam_update(
         if name not in state.m:
             state.m[name] = np.zeros_like(entry.value)
             state.v[name] = np.zeros_like(entry.value)
-        m = state.m[name]
-        v = state.v[name]
-        w = entry.value
-        step = np.multiply(g, 1.0 - cfg.beta1)
-        m *= cfg.beta1
-        m += step
-        denom = np.multiply(g, 1.0 - cfg.beta2)
-        denom *= g
-        v *= cfg.beta2
-        v += denom
-        if cfg.weight_decay:
-            w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
-        np.divide(m, bc1, out=step)
-        step *= cfg.learning_rate
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        step /= denom
-        w -= step
+        scratch = np.empty((2, min(g.size, model.BLOCK)), np.result_type(g, 0.0))
+        for gb, m, v, w in model.blocks(g, state.m[name], state.v[name], entry.value):
+            step, denom = scratch[:, : gb.size]
+            np.multiply(gb, 1.0 - cfg.beta1, out=step)
+            m *= cfg.beta1
+            m += step
+            np.multiply(gb, 1.0 - cfg.beta2, out=denom)
+            denom *= gb
+            v *= cfg.beta2
+            v += denom
+            if cfg.weight_decay:
+                w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
+            np.divide(m, bc1, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            step /= denom
+            w -= step
 
 
 def train_step(

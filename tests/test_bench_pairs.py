@@ -1,0 +1,79 @@
+"""The summary rules of tools/bench_pairs.py, which writes the BENCH_*.json
+files: quartiles, the gain rule in both directions, and failed runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+HIGHER = {"unit": "clips/s", "better": "higher", "bound": 0.25}
+LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave tools/ as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_quartiles_of_one_run_have_no_spread(bench_pairs):
+    q = bench_pairs.quartiles([2.5])
+    assert (q["q1"], q["median"], q["q3"], q["iqr"]) == (2.5, 2.5, 2.5, 0.0)
+    assert q["runs"] == [2.5]
+
+
+def test_parse_runs(bench_pairs):
+    assert bench_pairs.parse_runs("finetune_full:1-3") == ("finetune_full", [1, 2, 3])
+    assert bench_pairs.parse_runs("prepare_and_score:3,7") == ("prepare_and_score", [3, 7])
+    assert bench_pairs.parse_runs("w:5") == ("w", [5])
+    assert bench_pairs.parse_runs("w:1-2,9") == ("w", [1, 2, 9])
+
+
+def test_gain_on_a_higher_is_better_metric(bench_pairs):
+    parent = [2.2, 2.3, 2.25, 2.28, 2.26, 2.24, 2.27, 2.21, 2.29, 2.3]
+    out = bench_pairs.summarize_metric(HIGHER, parent, [p + 0.6 for p in parent])
+    assert out["change_wins"] == 10 and out["failed_pairs"] == 0
+    assert out["median_change_pct"] > 0
+    assert out["within_bound"] and out["gain_rule_met"]
+    # the same numbers under better=lower are a loss beyond no bound
+    worse = bench_pairs.summarize_metric(LOWER, parent, [p + 0.6 for p in parent])
+    assert worse["change_wins"] == 0
+    assert not worse["within_bound"] and not worse["gain_rule_met"]
+
+
+def test_a_pair_with_a_failed_run_is_left_out_and_blocks_the_gain(bench_pairs):
+    parent = [2.0, 2.1, 2.05, 2.02, 2.08, 2.03, 2.07, 2.01, 2.06, 2.04]
+    change = [p + 1.0 for p in parent]
+    change[3] = None
+    out = bench_pairs.summarize_metric(HIGHER, parent, change)
+    assert out["failed_pairs"] == 1
+    assert out["change_wins"] == 9
+    assert out["parent"]["runs"] == parent[:3] + parent[4:]
+    assert None not in out["change"]["runs"]
+    assert out["within_bound"] and not out["gain_rule_met"]
+    none = bench_pairs.summarize_metric(HIGHER, [None, 2.0], [3.0, None])
+    assert none["failed_pairs"] == 2
+    assert not none["within_bound"] and not none["gain_rule_met"]
+
+
+def test_summarize_counts_a_null_metric_as_a_failed_pair(bench_pairs):
+    def run(value, failed=0):
+        return {"attempted": 10, "failed": failed, "correct": not failed,
+                "metrics": {"eval_clips_per_s": {"value": value}}}
+
+    pairs = [{"seed": 1, "parent_first": True, "parent": run(2.0), "change": run(2.6)},
+             {"seed": 2, "parent_first": False, "parent": run(2.1), "change": run(None, 10)}]
+    out = bench_pairs.summarize(pairs, {"eval_clips_per_s": HIGHER})
+    assert out["operations"]["change"] == {"attempted": 20, "failed": 10, "all_correct": False}
+    metric = out["metrics"]["eval_clips_per_s"]
+    assert metric["failed_pairs"] == 1 and metric["change"]["runs"] == [2.6]
+    assert not metric["gain_rule_met"]

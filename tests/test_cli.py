@@ -681,6 +681,28 @@ def test_frame_count_the_model_cannot_take_is_usage_error(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("chunk", [0.02, 1e-300], ids=["320-samples", "0-samples"])
+@pytest.mark.parametrize("command", ["featurize", "train", "eval"])
+def test_chunk_shorter_than_the_fft_window_is_usage_error(
+    pipeline, tmp_path, capsys, monkeypatch, command, chunk
+):
+    root, data_dir, _, run_dir = pipeline
+    cfg_path = tmp_path / "c.cfg"
+    write_config_file(cfg_path, **{**TINY_CFG, "chunk_length_s": chunk})
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    inputs, options = {
+        "featurize": ([data_dir / "train" / "audio"], []),
+        "train": ([data_dir / "train" / "manifest.csv", data_dir / "val" / "manifest.csv"],
+                  ["--freeze", "UnFrz0-1"]),
+        "eval": ([run_dir / "checkpoint.bin", data_dir / "test" / "manifest.csv"], []),
+    }[command]
+    rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
+    assert rc == 2
+    assert "n_fft=400 exceeds chunk" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):
     root, data_dir, _, run_dir = pipeline
     rc = main([

@@ -292,6 +292,55 @@ def test_adam_in_place_is_bit_identical_to_the_reference_expression():
     assert "frozen" not in state.m
 
 
+def _unblocked_adam(w, m, v, g, t, cfg):
+    """One Adam step over the whole tensor at once, with full-size temporaries."""
+    bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+    step = np.multiply(g, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += step
+    denom = np.multiply(g, 1.0 - cfg.beta2)
+    denom *= g
+    v *= cfg.beta2
+    v += denom
+    w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    step /= denom
+    w -= step
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_adam_equals_the_whole_tensor_chain_and_writes_only_weights_and_moments(dtype):
+    rng = np.random.default_rng(13)
+    block = model_mod.BLOCK
+    shapes = {"block+1": (block + 1,), "odd": (3, block // 2 + 7), "one": (1,), "frozen": (block + 1,)}
+    reg = ParameterRegistry()
+    for name, shape in shapes.items():
+        reg.add(name, rng.normal(size=shape).astype(dtype), HEAD, trainable=name != "frozen")
+    frozen_before = reg["frozen"].copy()
+    ref = {name: [reg[name].copy(), np.zeros_like(reg[name]), np.zeros_like(reg[name])]
+           for name in shapes if name != "frozen"}
+    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+    state = TrainState()
+    for t in range(1, 4):
+        grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        grads_before = {name: g.copy() for name, g in grads.items()}
+        adam_update(reg, grads, state, cfg)
+        for name, (w, m, v) in ref.items():
+            _unblocked_adam(w, m, v, grads[name], t, cfg)
+        assert all(np.array_equal(grads[n], grads_before[n]) for n in grads)
+    for name, (w, m, v) in ref.items():
+        assert reg[name].dtype == state.m[name].dtype == dtype
+        assert np.array_equal(reg[name], w), name
+        assert np.array_equal(state.m[name], m), name
+        assert np.array_equal(state.v[name], v), name
+    assert np.array_equal(reg["frozen"], frozen_before)
+    assert set(state.m) == set(state.v) == set(ref)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

@@ -46,17 +46,24 @@ def quartiles(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
 
 
-def summarize_metric(spec: dict, parent: list[float], change: list[float]) -> dict:
+def summarize_metric(spec: dict, parent: list[float | None], change: list[float | None]) -> dict:
+    """One metric over the pairs. A value is None when every repetition of
+    that run failed; such a pair counts as failed: it is left out of the
+    quartiles, and a series with a failed pair does not meet the gain rule."""
     sign = 1 if spec["better"] == "higher" else -1
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    ties = sum(c == p for p, c in zip(parent, change))
-    p, c = quartiles(parent), quartiles(change)
-    return {
-        "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+    done = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+           "failed_pairs": len(parent) - len(done)}
+    if not done:
+        return out | {"within_bound": False, "gain_rule_met": False}
+    wins = sum(sign * (c - p) > 0 for p, c in done)
+    ties = sum(c == p for p, c in done)
+    p, c = (quartiles(list(runs)) for runs in zip(*done))
+    return out | {
         "parent": p, "change": c, "change_wins": wins, "ties": ties,
         "median_change_pct": 100 * (c["median"] - p["median"]) / p["median"],
         "within_bound": sign * (c["median"] - p["median"]) >= -spec["bound"] * p["median"],
-        "gain_rule_met": wins >= GAIN_SHARE * len(parent)
+        "gain_rule_met": not out["failed_pairs"] and wins >= GAIN_SHARE * len(parent)
         and sign * (c["median"] - p["median"]) > p["iqr"],
     }
 
@@ -79,6 +86,11 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> dict:
                 for side in ("parent", "change")}
         out["metrics"][name] = summarize_metric(spec, runs["parent"], runs["change"])
     return out
+
+
+def _show(result: dict, name: str) -> str:
+    value = result["metrics"][name]["value"]
+    return "failed" if value is None else f"{value:.3f}"
 
 
 def parse_runs(text: str) -> tuple[str, list[int]]:
@@ -133,9 +145,9 @@ def main() -> int:
                 "python", "numpy", "scipy")} | {"blas_threads": int(env["OPENBLAS_NUM_THREADS"])}
             report["workloads"][workload] = summarize(pairs, specs)
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-            print(f"{workload} seed {seed}: train_s parent "
-                  f"{pair['parent']['metrics']['train_s']['value']:.3f} change "
-                  f"{pair['change']['metrics']['train_s']['value']:.3f}", flush=True)
+            print(f"{workload} seed {seed} (parent -> change): "
+                  + ", ".join(f"{name} {_show(pair['parent'], name)} -> {_show(pair['change'], name)}"
+                              for name in specs), flush=True)
     return 0
 
 
