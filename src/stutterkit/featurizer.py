@@ -4,6 +4,14 @@ Converts fixed-length (padded/truncated) audio into a globally normalized
 log-Mel spectrogram: Hann-windowed frames, magnitude-squared FFT, triangular
 mel filterbank over [0, 8000] Hz, natural log, then a dynamic-range clamp and
 affine rescale. All functions are pure and deterministic.
+
+The STFT's cost follows the clip's audio, not the chunk: a frame that starts
+past the clip's last sample holds only zeros, so its power row is exactly 0
+and log_mel leaves it so without a window, FFT or |.|^2. The frames that hold
+audio go through the FFT in blocks of STFT_BLOCK frames, small enough for L2.
+The mel product then runs once over every frame, so its bits do not depend
+on the clip's length (BLAS picks its kernel by the row count). The values
+equal those of the whole-chunk computation bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .headers import read_config, read_header, write_file
 
 SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
+STFT_BLOCK = 64  # frames per FFT block: about 200 KB of float64 at n_fft=400
 
 
 class UnsupportedFormat(ValueError):
@@ -48,8 +57,10 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise UnsupportedFormat("expected mono (1-D) samples")
-        if self.samples.size and float(np.max(np.abs(self.samples))) > 1.0 + 1e-9:
-            raise UnsupportedFormat("sample amplitudes exceed [-1, 1]")
+        # written so that NaN fails it too; min and max make no |x| copy
+        bound = 1.0 + 1e-9
+        if self.samples.size and not -bound <= self.samples.min() <= self.samples.max() <= bound:
+            raise UnsupportedFormat("sample amplitudes exceed [-1, 1] or are not finite")
 
     @property
     def duration_s(self) -> float:
@@ -83,6 +94,11 @@ class FeaturizerConfig:
             raise ConfigMismatch(f"chunk_length_s={self.chunk_length_s} has no finite sample count")
         if self.chunk_samples % self.hop:
             raise ConfigMismatch("chunk length must be a whole number of hops")
+        if self.n_fft < self.hop:
+            raise ConfigMismatch(
+                f"window_ms={self.window_ms} ({self.n_fft} samples) is shorter than "
+                f"hop_ms={self.hop_ms} ({self.hop} samples)"
+            )
 
     @property
     def n_fft(self) -> int:
@@ -159,7 +175,8 @@ def load_wav(path: str | Path) -> AudioClip:
         raise CorruptFile(f"{path}: truncated header") from exc
     if len(raw) != 2 * n_frames:
         raise CorruptFile(f"{path}: data chunk truncated ({len(raw)} bytes for {n_frames} frames)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= PCM_SCALE
     return AudioClip(samples=samples)
 
 
@@ -241,29 +258,38 @@ def log_mel(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     The clip is zero-padded or truncated to the configured chunk length, so
     n_frames == chunk_samples // hop regardless of input duration. Frame t
     covers samples [t*hop, t*hop + n_fft), zero-padded past the chunk end.
+    Frames that start past the clip's end get log(log_floor) without an FFT.
     """
     if clip.samples.size == 0:
         raise EmptyClip("cannot featurize a clip with zero samples")
     cfg.check_window_fits()
-    x = pad_or_truncate(clip.samples, cfg.chunk_samples)
-    n_frames = cfg.chunk_frames
-    tail = np.zeros(cfg.n_fft - cfg.hop)
-    padded = np.concatenate([x, tail])
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop][:n_frames]
-    window, fb = _stft_constants(cfg.n_fft, cfg.n_mels)
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    n_fft, hop, n_frames = cfg.n_fft, cfg.hop, cfg.chunk_frames
+    n = min(clip.samples.size, cfg.chunk_samples)
+    padded = np.zeros(cfg.chunk_samples + n_fft - hop)
+    padded[:n] = clip.samples[:n]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    window, fb = _stft_constants(n_fft, cfg.n_mels)
+    power = np.zeros((n_frames, n_fft // 2 + 1))
+    live = min(n_frames, -(-n // hop))  # frames that start before the clip ends
+    for start in range(0, live, STFT_BLOCK):
+        stop = min(start + STFT_BLOCK, live)
+        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=power[start:stop])
+        power[start:stop] **= 2
     mel_energy = power @ fb.T
-    values = np.log(np.maximum(mel_energy, cfg.log_floor)).T
-    return LogMelSpectrogram(values=values)
+    np.maximum(mel_energy, cfg.log_floor, out=mel_energy)
+    return LogMelSpectrogram(values=np.log(mel_energy, out=mel_energy).T)
 
 
 def normalize(spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     """Clamp below at (global max - clamp_range), then map x -> (x + shift) / scale.
 
     With the default 8/4/4 parameters the output range never exceeds 2.
+    Returns a new array; spec is left as it is.
     """
     floor = float(spec.values.max()) - cfg.clamp_range
-    values = (np.maximum(spec.values, floor) + cfg.affine_shift) / cfg.affine_scale
+    values = np.maximum(spec.values, floor)
+    values += cfg.affine_shift
+    values /= cfg.affine_scale
     return LogMelSpectrogram(values=values)
 
 

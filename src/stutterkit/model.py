@@ -614,19 +614,21 @@ def _conv_stem_fwd(x, registry, cfg):
     a1, phi1 = _gelu_fwd(z1)
     z2, cols2 = _conv1d_fwd(a1, registry["conv2.w"], registry["conv2.b"], stride=2, padding=1)
     a2, phi2 = _gelu_fwd(z2)
-    return a2.T, ((x.shape, z1, phi1, cols1), (a1.shape, z2, phi2, cols2))  # [T/2, d_model]
+    return a2.T, ((z1, phi1, cols1), (a1.shape, z2, phi2, cols2))  # [T/2, d_model]
 
 
 def _stem_cache(parts):
-    """The stem's backward cache from _conv_stem_fwd's (input shape, z, Phi(z),
-    patches) per conv. The backward reads z only through GELU's derivative, so
-    the cache keeps that in place of z (and of Phi): one array per activation."""
-    (x_shape, z1, phi1, cols1), (a1_shape, z2, phi2, cols2) = parts
-    return (x_shape, gelu_grad(z1, phi1), cols1, a1_shape, gelu_grad(z2, phi2), cols2)
+    """The stem's backward cache from _conv_stem_fwd's (z, Phi(z), patches) per
+    conv, with conv2's input shape. The backward reads z only through GELU's
+    derivative, so the cache keeps that in place of z (and of Phi): one array
+    per activation. conv1's input gradient is never taken, so its input shape
+    is not kept."""
+    (z1, phi1, cols1), (a1_shape, z2, phi2, cols2) = parts
+    return (gelu_grad(z1, phi1), cols1, a1_shape, gelu_grad(z2, phi2), cols2)
 
 
 def _conv_stem_bwd(dh, cache, registry):
-    _, dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
+    dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
     dz2 = dh.T * dgelu2
     da1, dw2, db2 = _conv1d_bwd(dz2, cols2, a1_shape, registry["conv2.w"], stride=2, padding=1)
     dz1 = da1 * dgelu1

@@ -55,6 +55,17 @@ def naive_log_mel(samples: np.ndarray, cfg: FeaturizerConfig) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def whole_chunk_log_mel(samples: np.ndarray, cfg: FeaturizerConfig) -> np.ndarray:
+    """log_mel as one whole-array expression over every frame of the chunk,
+    padding frames included: the reference that log_mel's skipped padding
+    frames and FFT blocks must equal bit for bit."""
+    x = samples[: cfg.chunk_samples]
+    padded = np.concatenate([x, np.zeros(cfg.chunk_samples - x.size + cfg.n_fft - cfg.hop)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop][: cfg.chunk_frames]
+    power = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)) ** 2
+    return np.log(np.maximum(power @ mel_filterbank(cfg).T, cfg.log_floor)).T
+
+
 # ---------------------------------------------------------------------------
 # Model oracles
 

@@ -2,6 +2,8 @@
 files: quartiles, the gain rule in both directions, and failed runs."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +79,50 @@ def test_summarize_counts_a_null_metric_as_a_failed_pair(bench_pairs):
     metric = out["metrics"]["eval_clips_per_s"]
     assert metric["failed_pairs"] == 1 and metric["change"]["runs"] == [2.6]
     assert not metric["gain_rule_met"]
+
+
+def test_a_run_that_crashes_is_a_failed_side_and_the_series_goes_on(bench_pairs, tmp_path, monkeypatch):
+    """The change side exits 1 on seed 2 and prints no result on seed 3: both
+    are recorded as failed runs, and the series still runs every pair."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "eval_clips_per_s", **HIGHER}]}), encoding="utf-8")
+    env = {"nproc": 2, "cpu": "x", "blas": "openblas", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "python": "3", "numpy": "2", "scipy": None}
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        side, seed = Path(cwd).name, int(argv[argv.index("--seed") + 1])
+        calls.append((side, seed))
+        result = {"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"eval_clips_per_s": {"value": 2.0 + (side == "change")}}}
+        stdout = f"environment {json.dumps(env)}\n{json.dumps(result)}\n"
+        if side == "change" and seed == 2:
+            return subprocess.CompletedProcess(argv, 1, "", "Traceback ...\nMemoryError\n")
+        if side == "change" and seed == 3:
+            stdout = f"environment {json.dumps(env)}\n"
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                                      str(out), "--parent-commit", "abc", "--runs", "w:1-3"])
+    assert bench_pairs.main() == 0
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    summary = report["workloads"]["w"]
+    assert summary["pairs"] == 3 and summary["seeds"] == [1, 2, 3]
+    assert summary["operations"]["change"] == {"attempted": 4, "failed": 0, "all_correct": False}
+    assert summary["operations"]["parent"]["all_correct"]
+    assert summary["crashed_runs"]["parent"] == []
+    assert [run["seed"] for run in summary["crashed_runs"]["change"]] == [2, 3]
+    assert "MemoryError" in summary["crashed_runs"]["change"][0]["why"]
+    metric = summary["metrics"]["eval_clips_per_s"]
+    assert metric["failed_pairs"] == 2 and metric["change"]["runs"] == [3.0]
+    assert not metric["gain_rule_met"]
+    assert report["machine"]["blas_threads"] == 1
+    crashed = bench_pairs.run_bench(tmp_path / "change", "w", 2, ["eval_clips_per_s"])
+    assert crashed["metrics"] == {"eval_clips_per_s": {"value": None}} and not crashed["correct"]
+    assert "exit status 1" in crashed["crashed"] and "MemoryError" in crashed["crashed"]

@@ -177,6 +177,7 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     "line, want_rc",
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
      ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
+     ("window_ms=5", 2), ("hop_ms=30", 2), ("window_ms=10", 0),
      ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2),
      ("chunk_length_s=1e308", 2),
      ("affine_shift=inf", 2), ("clamp_range=nan", 2), ("log_floor=inf", 2),
@@ -700,6 +701,25 @@ def test_chunk_shorter_than_the_fft_window_is_usage_error(
     rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
     assert rc == 2
     assert "n_fft=400 exceeds chunk" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["featurize", "train", "eval"])
+def test_window_shorter_than_the_hop_is_usage_error(pipeline, tmp_path, capsys, monkeypatch, command):
+    root, data_dir, _, run_dir = pipeline
+    cfg_path = tmp_path / "c.cfg"
+    write_config_file(cfg_path, **{**TINY_CFG, "window_ms": 5})
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    inputs, options = {
+        "featurize": ([data_dir / "train" / "audio"], []),
+        "train": ([data_dir / "train" / "manifest.csv", data_dir / "val" / "manifest.csv"],
+                  ["--freeze", "UnFrz0-1"]),
+        "eval": ([run_dir / "checkpoint.bin", data_dir / "test" / "manifest.csv"], []),
+    }[command]
+    rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
+    assert rc == 2
+    assert "window_ms=5 (80 samples) is shorter than hop_ms=10 (160 samples)" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

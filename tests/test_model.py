@@ -897,7 +897,7 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     reg = build_registry(TINY, seed=5, dtype=dtype)
     x = np.random.default_rng(6).uniform(-1, 1, size=(TINY.n_mels, 8)).astype(dtype)
     _, (stem, _, layers, *_) = forward_with_cache(x, reg, TINY)
-    _, dgelu1, _, _, dgelu2, _ = stem
+    dgelu1, _, _, dgelu2, _ = stem
     z1 = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
     z2 = _conv1d_fwd(gelu(z1), reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
     assert dgelu1.dtype == dgelu2.dtype == dtype

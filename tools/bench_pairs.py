@@ -8,7 +8,9 @@ with `git archive`). One pair runs `python3 bench/run.py --workload W --seed S
 --seconds 20` once in each checkout, the side that runs first alternating
 from pair to pair, and reads the JSON result line that run prints. The
 summary is rewritten after every pair, so an interrupted series keeps the
-pairs it finished. The bounds and directions come from CHANGE_DIR's
+pairs it finished. A run that exits non-zero or prints no JSON result line
+is recorded as a failed side (every metric null, `correct` false) and the
+series goes on. The bounds and directions come from CHANGE_DIR's
 BENCHMARK.json.
 """
 
@@ -25,17 +27,26 @@ SECONDS = 20
 GAIN_SHARE = 0.9  # the change must win at least this share of the pairs
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run: its result line plus the machine it printed."""
+def run_bench(checkout: Path, workload: str, seed: int, names: list[str]) -> dict:
+    """One benchmark run: its result line plus the machine it printed. A run
+    that crashes is a failed one: every metric in names None, with the reason."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
-    env = next(line for line in lines if line.startswith("environment "))
-    result["environment"] = json.loads(env.split(" ", 1)[1])
+    try:
+        if proc.returncode:
+            raise ValueError(f"exit status {proc.returncode}")
+        result = json.loads(lines[-1] if lines else "")
+        env = next(line for line in lines if line.startswith("environment "))
+        result["environment"] = json.loads(env.split(" ", 1)[1])
+    except (ValueError, StopIteration) as exc:
+        stderr = proc.stderr.strip().splitlines()
+        return {"correct": False, "attempted": 0, "failed": 0,
+                "metrics": {name: {"value": None} for name in names},
+                "crashed": f"{type(exc).__name__}: {exc}" + (f"; {stderr[-1]}" if stderr else "")}
     return result
 
 
@@ -79,6 +90,9 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> dict:
                    "all_correct": all(pair[side]["correct"] for pair in pairs)}
             for side in ("parent", "change")
         },
+        "crashed_runs": {side: [{"seed": pair["seed"], "why": pair[side]["crashed"]}
+                                for pair in pairs if "crashed" in pair[side]]
+                         for side in ("parent", "change")},
         "metrics": {},
     }
     for name, spec in specs.items():
@@ -136,13 +150,14 @@ def main() -> int:
             order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "parent_first": order[0] == "parent"}
             for side in order:
-                pair[side] = run_bench(sides[side], workload, seed)
+                pair[side] = run_bench(sides[side], workload, seed, list(specs))
             n += 1
             pairs.append(pair)
-            env = pair["change"]["environment"]
-            report["machine"] = {k: env[k] for k in (
-                "nproc", "cpu", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "python", "numpy", "scipy")} | {"blas_threads": int(env["OPENBLAS_NUM_THREADS"])}
+            env = pair["change"].get("environment") or pair["parent"].get("environment")
+            if env:
+                report["machine"] = {k: env[k] for k in (
+                    "nproc", "cpu", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "python", "numpy", "scipy")} | {"blas_threads": int(env["OPENBLAS_NUM_THREADS"])}
             report["workloads"][workload] = summarize(pairs, specs)
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
             print(f"{workload} seed {seed} (parent -> change): "
