@@ -9,8 +9,10 @@ tautology. None of these call back into the code paths they check.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
+import sys
 import wave
 
 import numpy as np
@@ -369,3 +371,16 @@ def edit_checkpoint_tensors(src, dst, edit) -> None:
     manifest = json.loads(header)
     edit(manifest["tensors"])
     dst.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+
+
+def load_tool(path):
+    """The script at path (under tools/) as a module, without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave tools/ as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module

@@ -1,13 +1,14 @@
 """The summary rules of tools/bench_pairs.py, which writes the BENCH_*.json
 files: quartiles, the gain rule in both directions, and failed runs."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import load_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 HIGHER = {"unit": "clips/s", "better": "higher", "bound": 0.25}
@@ -16,15 +17,7 @@ LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave tools/ as it is
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+    return load_tool(TOOL)
 
 
 def test_quartiles_of_one_run_have_no_spread(bench_pairs):
