@@ -7,10 +7,10 @@ pooling over time, a linear projector, and a linear six-way classifier.
 
 All parameters live in a ParameterRegistry keyed by name and grouped into
 feature_extractor / encoder_layer_k / head so a freezing strategy is the
-set of groups it freezes. Forward passes are pure reads of the registry;
-backward_pass returns gradients for every parameter given the cache recorded
-by forward_with_cache. forward keeps no cache, and forward_prefix stops at an
-encoder layer so a frozen prefix's output can be computed once per clip.
+set of groups it freezes. Forward passes are pure reads of the registry.
+forward_prefix runs the stem (from a spectrogram) and encoder layers up to a
+stop; forward and forward_with_cache add the head. backward_pass returns
+gradients for what the forward_with_cache that made its cache ran.
 
 Compute follows the registry's dtype: the public entry points cast their
 inputs to it and every intermediate, cache entry and gradient stays in it.
@@ -749,29 +749,6 @@ class LayerInput:
     h: np.ndarray
 
 
-def _input_stage(spec_values, registry, cfg, cache=False):
-    """Spectrogram -> (layer-0 input [T/2 x d_model], stem cache or None): cast
-    to the registry's dtype, check the input, run the stem and add positions.
-    The stem cache, which only the backward reads, is built if `cache`."""
-    x = np.asarray(spec_values, dtype=registry.dtype)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("non-finite values in input spectrogram")
-    h, parts = _conv_stem_fwd(x, registry, cfg)
-    h += registry["embed_positions"][: h.shape[0]]
-    return h, _stem_cache(parts) if cache else None
-
-
-def _run_layers(h, registry, cfg, start, stop, caches=None):
-    """Encoder layers [start, stop) over h. Each layer's cache is appended to
-    `caches` if given, and otherwise freed before the next layer runs."""
-    for k in range(start, stop):
-        h, cache = _encoder_layer_fwd(h, _layer_tensors(registry, k), cfg)
-        if caches is not None:
-            caches.append(cache)
-        del cache
-    return h
-
-
 def _head_fwd(h, registry):
     """Post-encoder layer norm, mean pool, projector, classifier -> (logits, cache)."""
     g, ln_cache = _layer_norm_fwd(
@@ -785,14 +762,35 @@ def _head_fwd(h, registry):
 
 
 def forward_prefix(
-    spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig, stop: int
+    x: np.ndarray | LayerInput, registry: ParameterRegistry, cfg: ModelConfig, stop: int,
+    caches: list | None = None,
 ) -> LayerInput:
-    """The input of encoder layer `stop` (0 <= stop <= n_layers) for one
-    spectrogram, computed without keeping any cache."""
-    if not 0 <= stop <= cfg.n_layers:
-        raise ValueError(f"stop={stop} outside 0..{cfg.n_layers}")
-    h, _ = _input_stage(spec_values, registry, cfg)
-    return LayerInput(stop, _run_layers(h, registry, cfg, 0, stop))
+    """The input of encoder layer `stop` for a normalized [n_mels x T]
+    spectrogram (layer 0: the conv stem plus positions) or a LayerInput, cast
+    to the registry's dtype. ValueError, before any work, unless
+    0 <= x.layer <= stop <= n_layers. If `caches` is given, the stem's backward
+    cache (None for a LayerInput) and then each layer's are appended to it;
+    otherwise each is freed as soon as its step is done."""
+    start = x.layer if isinstance(x, LayerInput) else 0
+    if not 0 <= start <= stop <= cfg.n_layers:
+        raise ValueError(f"layers {start}..{stop} are not a range in 0..{cfg.n_layers}")
+    if isinstance(x, LayerInput):
+        h, stem = np.asarray(x.h, dtype=registry.dtype), None
+    else:
+        h = np.asarray(x, dtype=registry.dtype)
+        if not np.all(np.isfinite(h)):
+            raise NonFiniteInput("non-finite values in input spectrogram")
+        h, stem = _conv_stem_fwd(h, registry, cfg)
+        h += registry["embed_positions"][: h.shape[0]]
+        stem = None if caches is None else _stem_cache(stem)  # frees z and Phi(z) before the layers
+    if caches is not None:
+        caches.append(stem)
+    for k in range(start, stop):
+        h, cache = _encoder_layer_fwd(h, _layer_tensors(registry, k), cfg)
+        if caches is not None:
+            caches.append(cache)
+        del cache
+    return LayerInput(stop, h)
 
 
 def forward(
@@ -801,17 +799,16 @@ def forward(
     """Normalized [n_mels x T] spectrogram, or a LayerInput from forward_prefix
     under the same frozen prefix -> 6-vector of pre-sigmoid logits. Keeps no
     cache; the logits equal forward_with_cache's bit for bit."""
-    if not isinstance(x, LayerInput):
-        x = LayerInput(0, _input_stage(x, registry, cfg)[0])
-    return _head_fwd(_run_layers(x.h, registry, cfg, x.layer, cfg.n_layers), registry)[0]
+    return _head_fwd(forward_prefix(x, registry, cfg, cfg.n_layers).h, registry)[0]
 
 
-def forward_with_cache(spec_values, registry, cfg):
-    h, stem_cache = _input_stage(spec_values, registry, cfg, cache=True)
-    layer_caches = []
-    h = _run_layers(h, registry, cfg, 0, cfg.n_layers, layer_caches)
+def forward_with_cache(x, registry, cfg):
+    """forward's logits and the cache backward_pass reads: (stem cache, or None
+    for a LayerInput; one cache per layer run; the head's cache)."""
+    caches: list = []
+    h = forward_prefix(x, registry, cfg, cfg.n_layers, caches).h
     logits, head_cache = _head_fwd(h, registry)
-    return logits, (stem_cache, h.shape[0], layer_caches, head_cache)
+    return logits, (caches[0], caches[1:], head_cache)
 
 
 def frozen_prefix_depth(registry: ParameterRegistry, cfg: ModelConfig) -> int | None:
@@ -828,9 +825,11 @@ def frozen_prefix_depth(registry: ParameterRegistry, cfg: ModelConfig) -> int | 
 
 
 def backward_pass(dlogits, cache, registry, cfg):
-    """Gradients for every parameter given d loss / d logits and a forward
-    cache, in the registry's dtype."""
-    stem_cache, n_pos, layer_caches, (ln_cache, pooled, u) = cache
+    """Gradients, in the registry's dtype, given d loss / d logits and a
+    forward_with_cache cache: for the head and each encoder layer the forward
+    ran, and for the stem and embed_positions if it started from a spectrogram."""
+    stem_cache, layer_caches, (ln_cache, pooled, u) = cache
+    n_pos = ln_cache[0].shape[0]  # the rows of the head's normalized input
     grads: dict[str, np.ndarray] = {}
     dlogits = np.asarray(dlogits, dtype=registry.dtype)
     grads["classifier.w"] = np.outer(u, dlogits)
@@ -843,13 +842,14 @@ def backward_pass(dlogits, cache, registry, cfg):
     dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, registry["post_encoder_layernorm.gamma"])
     grads["post_encoder_layernorm.gamma"] = dgam
     grads["post_encoder_layernorm.beta"] = dbet
-    for k in range(cfg.n_layers - 1, -1, -1):
-        dh, layer_grads = _encoder_layer_bwd(dh, layer_caches[k], _layer_tensors(registry, k), cfg)
+    for k, layer_cache in zip(range(cfg.n_layers - 1, -1, -1), layer_caches[::-1]):
+        dh, layer_grads = _encoder_layer_bwd(dh, layer_cache, _layer_tensors(registry, k), cfg)
         grads.update({f"layers.{k}.{key}": val for key, val in layer_grads.items()})
-    dpos = np.zeros_like(registry["embed_positions"])
-    dpos[:n_pos] = dh
-    grads["embed_positions"] = dpos
-    grads.update(_conv_stem_bwd(dh, stem_cache, registry))
+    if stem_cache is not None:
+        dpos = np.zeros_like(registry["embed_positions"])
+        dpos[:n_pos] = dh
+        grads["embed_positions"] = dpos
+        grads.update(_conv_stem_bwd(dh, stem_cache, registry))
     return grads
 
 

@@ -16,6 +16,7 @@ import stutterkit.model as model_mod
 
 from helpers import (
     edit_checkpoint_tensors,
+    finite_diff_check,
     json_bytes,
     naive_conv1d,
     oracle_encoder_layer,
@@ -30,6 +31,7 @@ from stutterkit.model import (
     CorruptCheckpoint,
     FreezeConfig,
     FreezeSpecError,
+    LayerInput,
     ModelConfig,
     NonFiniteActivation,
     NonFiniteInput,
@@ -42,6 +44,7 @@ from stutterkit.model import (
     build_registry,
     conv_stem,
     encoder_layer_forward,
+    encoder_layer_group,
     erf,
     ffn,
     forward,
@@ -769,18 +772,95 @@ def test_prefix_then_forward_equals_forward_with_cache(placement, activation, dt
         assert np.array_equal(forward(prefix, reg, cfg), want), stop
 
 
-def test_forward_prefix_checks_its_input_and_stop():
+def test_forward_prefix_checks_its_input_and_stop(monkeypatch):
     reg = build_registry(TINY, seed=40)
     x = np.zeros((TINY.n_mels, 8))
-    with pytest.raises(ValueError):
-        forward_prefix(x, reg, TINY, TINY.n_layers + 1)
-    with pytest.raises(ValueError):
-        forward_prefix(x, reg, TINY, -1)
+    h = np.zeros((4, TINY.d_model), dtype=np.float32)
+    with monkeypatch.context() as m:  # refused before any work
+        for name in ("_conv_stem_fwd", "_encoder_layer_fwd", "_head_fwd"):
+            m.setattr(model_mod, name, lambda *a: pytest.fail("ran before the range check"))
+        n = TINY.n_layers
+        for start, stop in ((0, n + 1), (0, -1), (-1, 0), (n + 1, n + 1), (2, 1)):
+            with pytest.raises(ValueError):
+                forward_prefix(x if start == 0 else LayerInput(start, h), reg, TINY, stop)
+        for layer in (-1, n + 1):
+            with pytest.raises(ValueError):
+                forward(LayerInput(layer, h), reg, TINY)
+            with pytest.raises(ValueError):
+                forward_with_cache(LayerInput(layer, h), reg, TINY)
     x[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):
         forward_prefix(x, reg, TINY, 0)
     with pytest.raises(ShapeMismatch):
         forward_prefix(np.zeros((TINY.n_mels, 7)), reg, TINY, 1)
+
+
+def _grads_from_layer(x, reg, cfg, k):
+    """backward_pass's gradients from a cached forward that starts at layer k's input."""
+    _, cache = forward_with_cache(forward_prefix(x, reg, cfg, k), reg, cfg)
+    return backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
+
+
+def _assert_suffix_of(grads, full, reg, cfg, k):
+    """grads holds exactly the head's and layers k..'s tensors, each equal to full's."""
+    groups = {HEAD} | {encoder_layer_group(j) for j in range(k, cfg.n_layers)}
+    assert set(grads) == {name for name, e in reg.items() if e.group in groups}, k
+    for name, g in grads.items():
+        assert g.dtype == reg.dtype and np.array_equal(g, full[name]), (k, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("placement", ["pre", "post"])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_backward_from_each_layer_walks_only_the_layers_it_cached(placement, activation, dtype):
+    """From layer k's input, for every k, the gradients of layers k.. and of
+    the head equal the full path's bit for bit, and no other tensor gets one."""
+    cfg = tiny_model_config(n_layers=3, norm_placement=placement, ffn_activation=activation)
+    reg = build_registry(cfg, seed=44, dtype=dtype)
+    x = np.random.default_rng(45).uniform(-1, 1, size=(cfg.n_mels, 8))
+    _, cache = forward_with_cache(x, reg, cfg)
+    full = backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
+    assert set(full) == set(reg.names())
+    for k in range(cfg.n_layers + 1):
+        _assert_suffix_of(_grads_from_layer(x, reg, cfg, k), full, reg, cfg, k)
+
+
+def test_paper_scale_backward_from_the_last_layer_equals_the_full_path():
+    cfg = ModelConfig()
+    reg = build_registry(cfg, seed=46)
+    x = np.random.default_rng(47).uniform(-1, 1, size=(cfg.n_mels, 600)).astype(np.float32)
+    _, cache = forward_with_cache(x, reg, cfg)
+    full = backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
+    _assert_suffix_of(_grads_from_layer(x, reg, cfg, 5), full, reg, cfg, 5)
+
+
+def test_a_cache_from_a_layer_input_holds_no_stem():
+    reg = build_registry(TINY, seed=48)
+    x = np.random.default_rng(49).uniform(-1, 1, size=(TINY.n_mels, 8))
+    logits, cache = forward_with_cache(forward_prefix(x, reg, TINY, 0), reg, TINY)
+    stem, layers, _ = cache
+    assert stem is None and len(layers) == TINY.n_layers
+    assert np.array_equal(logits, forward(x, reg, TINY))
+    grads = backward_pass(np.ones(6), cache, reg, TINY)
+    assert not {"conv1.w", "conv1.b", "conv2.w", "conv2.b", "embed_positions"} & set(grads)
+
+
+@pytest.mark.parametrize("placement", ["pre", "post"])
+def test_backward_from_a_layer_cache_matches_finite_differences(placement):
+    """Under Frz0-0+FrzFE the trainable tensors are exactly those a layer-1
+    cache holds; central differences (h=1e-3) agree to 1e-4 in float64."""
+    from stutterkit.trainer import bce_with_logits, bce_with_logits_grad
+
+    cfg = tiny_model_config(norm_placement=placement)
+    reg = apply_freeze(build_registry(cfg, seed=50, dtype=np.float64), parse_freeze_spec("Frz0-0+FrzFE", 2))
+    x = np.random.default_rng(51).uniform(-1, 1, size=(cfg.n_mels, 8))
+    bits = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+    h1 = forward_prefix(x, reg, cfg, 1)
+    logits, cache = forward_with_cache(h1, reg, cfg)
+    grads = backward_pass(bce_with_logits_grad(logits, bits, 1), cache, reg, cfg)
+    assert set(grads) == {name for name, e in reg.items() if e.trainable}
+    worst = finite_diff_check(lambda: bce_with_logits(forward(h1, reg, cfg), bits), reg, grads)
+    assert worst < 1e-4
 
 
 @pytest.mark.parametrize("spec, depth", [
@@ -896,7 +976,7 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     rebuilt FFN activation z1 * Phi equal those recomputed from z, bit for bit."""
     reg = build_registry(TINY, seed=5, dtype=dtype)
     x = np.random.default_rng(6).uniform(-1, 1, size=(TINY.n_mels, 8)).astype(dtype)
-    _, (stem, _, layers, *_) = forward_with_cache(x, reg, TINY)
+    _, (stem, layers, _) = forward_with_cache(x, reg, TINY)
     dgelu1, _, _, dgelu2, _ = stem
     z1 = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
     z2 = _conv1d_fwd(gelu(z1), reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
@@ -1015,7 +1095,7 @@ def test_passes_leave_their_inputs_and_caches_unchanged(placement, activation):
     cached_logits, cache = forward_with_cache(x, reg, cfg)
     assert np.array_equal(x, x_before) and np.array_equal(cached_logits, logits)
     # a layer's cached sub-layer input is still what that layer was given
-    (_, (attn_in, *_)), _ = cache[2][1]
+    (_, (attn_in, *_)), _ = cache[1][1]
     gamma, beta = reg["layers.1.attn_norm.gamma"], reg["layers.1.attn_norm.beta"]
     assert np.array_equal(attn_in, prefix.h if placement == "post" else layer_norm(prefix.h, gamma, beta))
     snapshot = [a.copy() for a in _arrays(cache)]
