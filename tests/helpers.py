@@ -344,6 +344,15 @@ def curation_fixture(root, speakers=("spkA", "spkB", "spkC", "spkD"),
     return inventory, audio_dir, groups
 
 
+# The tiny config of the criterion-6 chain (test_acceptance.py, tools/golden.py).
+CRITERION_6_CONFIG = dict(
+    d_model=16, n_layers=2, n_heads=2, d_ffn=32, n_mels=12,
+    max_positions=256, d_proj=12, chunk_length_s=3.0,
+    learning_rate=0.001, batch_size=4, max_epochs=50,
+    early_stop_patience=10, max_steps=50,
+)
+
+
 def write_config_file(path, **keys) -> None:
     path.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CRITERION_6_CONFIG,
     brute_force_f1,
     curation_fixture,
     finite_diff_check,
@@ -373,14 +374,6 @@ def test_criterion_6_determinism(tmp_path):
 
 
 # The criterion-6 fixture, curated once for the checks below.
-CRITERION_6_CONFIG = dict(
-    d_model=16, n_layers=2, n_heads=2, d_ffn=32, n_mels=12,
-    max_positions=256, d_proj=12, chunk_length_s=3.0,
-    learning_rate=0.001, batch_size=4, max_epochs=50,
-    early_stop_patience=10, max_steps=50,
-)
-
-
 @pytest.fixture(scope="module")
 def criterion_6_splits(tmp_path_factory):
     root = tmp_path_factory.mktemp("criterion_6")

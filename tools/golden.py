@@ -35,12 +35,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 
-TINY_CONFIG = dict(
-    d_model=16, n_layers=2, n_heads=2, d_ffn=32, n_mels=12,
-    max_positions=256, d_proj=12, chunk_length_s=3.0,
-    learning_rate=0.001, batch_size=4, max_epochs=50,
-    early_stop_patience=10, max_steps=50,
-)
 PAPER_CONFIG = dict(batch_size=2, max_epochs=1, max_steps=1)
 TINY_SPECS = ("UnFrz0-1", "Frz0-0+FrzFE")
 PAPER_SPECS = ("UnFrz0-5", "Frz0-4+FrzFE")
@@ -81,11 +75,11 @@ def _first_rows(src: Path, dst: Path, n: int) -> None:
 
 def run_all(root: Path) -> dict[str, str]:
     """Run both sets in this process under root; relative path -> sha256."""
-    from helpers import curation_fixture, write_config_file
+    from helpers import CRITERION_6_CONFIG, curation_fixture, write_config_file
 
     inventory, audio_dir, groups = curation_fixture(root / "inputs")
     tiny_cfg, paper_cfg = root / "inputs" / "tiny.cfg", root / "inputs" / "paper.cfg"
-    write_config_file(tiny_cfg, **TINY_CONFIG)
+    write_config_file(tiny_cfg, **CRITERION_6_CONFIG)
     write_config_file(paper_cfg, **PAPER_CONFIG)
     tiny = root / "tiny"
     _run(["featurize", str(audio_dir), str(tiny / "features"), "--config", str(tiny_cfg)])
