@@ -49,14 +49,18 @@ USAGE_ERRORS = (
 
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise UsageError(f"{path}: {key} is set twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -101,7 +105,6 @@ def _resolve_configs(config_path: str | None):
     model_cfg = _coerce(model.ModelConfig, overrides)
     train_cfg = _coerce(trainer.TrainConfig, overrides)
     feat_cfg = _coerce(featurizer.FeaturizerConfig, overrides)
-    feat_cfg.check_window_fits()
     return model_cfg, train_cfg, feat_cfg
 
 

@@ -3,7 +3,9 @@
 Converts fixed-length (padded/truncated) audio into a globally normalized
 log-Mel spectrogram: Hann-windowed frames, magnitude-squared FFT, triangular
 mel filterbank over [0, 8000] Hz, natural log, then a dynamic-range clamp and
-affine rescale. All functions are pure and deterministic.
+affine rescale, each fixed by Whisper (N_FFT .. AFFINE_SCALE). FeaturizerConfig
+holds only n_mels and the chunk length, and owns every front-end rule. All
+functions are pure and deterministic.
 
 The STFT's cost follows the clip's audio, not the chunk: a frame that starts
 past the clip's last sample holds only zeros, so its power row is exactly 0
@@ -28,7 +30,7 @@ from .headers import read_config, read_header, write_file
 
 SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
-STFT_BLOCK = 64  # frames per FFT block: about 200 KB of float64 at n_fft=400
+STFT_BLOCK = 64  # frames per FFT block: about 200 KB of float64
 
 
 class UnsupportedFormat(ValueError):
@@ -67,47 +69,30 @@ class AudioClip:
         return self.samples.size / SAMPLE_RATE
 
 
+# Whisper's front end (Radford et al., arXiv 2212.04356), its encoder's input contract:
+# a 25 ms window every 10 ms, a floor before the log, a clamp to 8 below the max, (x + 4) / 4.
+N_FFT = 400  # samples per window, also the FFT size
+HOP = 160
+LOG_FLOOR = 1e-10
+CLAMP_RANGE = 8.0
+AFFINE_SHIFT = 4.0
+AFFINE_SCALE = 4.0
+
+
 @dataclass(frozen=True)
 class FeaturizerConfig:
-    window_ms: int = 25
-    hop_ms: int = 10
     n_mels: int = 80
     chunk_length_s: float = 6.0
-    log_floor: float = 1e-10
-    clamp_range: float = 8.0
-    affine_shift: float = 4.0
-    affine_scale: float = 4.0
 
     def __post_init__(self) -> None:
-        sizes = ("window_ms", "hop_ms", "n_mels")
-        if any(getattr(self, name) < 1 for name in sizes):
-            raise ConfigMismatch(f"{', '.join(n for n in sizes if getattr(self, n) < 1)} must be >= 1")
-        if (self.hop_ms * SAMPLE_RATE) % 1000:
-            raise ConfigMismatch(f"hop_ms={self.hop_ms} is not a whole sample count")
-        positive = ("chunk_length_s", "log_floor", "clamp_range", "affine_scale")
-        bad = [name for name in positive if not 0 < getattr(self, name) < math.inf]
-        if bad:
-            raise ConfigMismatch(f"{', '.join(bad)} must be positive and finite")
-        if not math.isfinite(self.affine_shift):
-            raise ConfigMismatch("affine_shift must be finite")
-        if not math.isfinite(self.chunk_length_s * SAMPLE_RATE):
-            raise ConfigMismatch(f"chunk_length_s={self.chunk_length_s} has no finite sample count")
-        if self.chunk_samples % self.hop:
+        if self.n_mels < 1:
+            raise ConfigMismatch("n_mels must be >= 1")
+        if not 0 < self.chunk_length_s * SAMPLE_RATE < math.inf:
+            raise ConfigMismatch("chunk_length_s must be positive with a finite sample count")
+        if self.chunk_samples % HOP:
             raise ConfigMismatch("chunk length must be a whole number of hops")
-        if self.n_fft < self.hop:
-            raise ConfigMismatch(
-                f"window_ms={self.window_ms} ({self.n_fft} samples) is shorter than "
-                f"hop_ms={self.hop_ms} ({self.hop} samples)"
-            )
-
-    @property
-    def n_fft(self) -> int:
-        """FFT size: one window of samples."""
-        return self.window_ms * SAMPLE_RATE // 1000
-
-    @property
-    def hop(self) -> int:
-        return self.hop_ms * SAMPLE_RATE // 1000
+        if N_FFT > self.chunk_samples:
+            raise ConfigMismatch(f"n_fft={N_FFT} exceeds chunk of {self.chunk_samples} samples")
 
     @property
     def chunk_samples(self) -> int:
@@ -115,13 +100,7 @@ class FeaturizerConfig:
 
     @property
     def chunk_frames(self) -> int:
-        return self.chunk_samples // self.hop
-
-    def check_window_fits(self) -> None:
-        """ConfigMismatch unless a chunk holds one FFT window (n_fft samples),
-        which log_mel needs and the CLI checks before it reads any clip."""
-        if self.n_fft > self.chunk_samples:
-            raise ConfigMismatch(f"n_fft={self.n_fft} exceeds chunk of {self.chunk_samples} samples")
+        return self.chunk_samples // HOP
 
 
 @dataclass
@@ -203,18 +182,17 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(cfg: FeaturizerConfig) -> np.ndarray:
-    """[n_mels x (n_fft//2 + 1)] triangular filters, mel-spaced over [0, 8000] Hz.
+    """[n_mels x (N_FFT//2 + 1)] triangular filters, mel-spaced over [0, 8000] Hz.
 
     Filters are unnormalized (each peaks at 1 where a bin lands on its center).
     """
-    return _filterbank(cfg.n_fft, cfg.n_mels)
+    return _filterbank(cfg.n_mels)
 
 
-def _filterbank(n_fft: int, n_mels: int) -> np.ndarray:
-    n_bins = n_fft // 2 + 1
+def _filterbank(n_mels: int) -> np.ndarray:
     edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), n_mels + 2))
-    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / n_fft
-    fb = np.zeros((n_mels, n_bins))
+    bin_freqs = np.arange(N_FFT // 2 + 1) * SAMPLE_RATE / N_FFT
+    fb = np.zeros((n_mels, bin_freqs.size))
     for m in range(n_mels):
         left, center, right = edges[m], edges[m + 1], edges[m + 2]
         rising = (bin_freqs - left) / (center - left)
@@ -239,9 +217,9 @@ def hann_window(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _stft_constants(n_fft: int, n_mels: int) -> tuple[np.ndarray, np.ndarray]:
-    """log_mel's Hann window and mel filterbank, built once per shape and read-only."""
-    window, fb = hann_window(n_fft), _filterbank(n_fft, n_mels)
+def _stft_constants(n_mels: int) -> tuple[np.ndarray, np.ndarray]:
+    """log_mel's Hann window and mel filterbank, built once per n_mels and read-only."""
+    window, fb = hann_window(N_FFT), _filterbank(n_mels)
     window.flags.writeable = fb.flags.writeable = False
     return window, fb
 
@@ -256,46 +234,45 @@ def log_mel(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     """Raw (pre-normalization) log-Mel spectrogram of a clip.
 
     The clip is zero-padded or truncated to the configured chunk length, so
-    n_frames == chunk_samples // hop regardless of input duration. Frame t
-    covers samples [t*hop, t*hop + n_fft), zero-padded past the chunk end.
-    Frames that start past the clip's end get log(log_floor) without an FFT.
+    n_frames == chunk_samples // HOP regardless of input duration. Frame t
+    covers samples [t*HOP, t*HOP + N_FFT), zero-padded past the chunk end.
+    Frames that start past the clip's end get log(LOG_FLOOR) without an FFT.
     """
     if clip.samples.size == 0:
         raise EmptyClip("cannot featurize a clip with zero samples")
-    cfg.check_window_fits()
-    n_fft, hop, n_frames = cfg.n_fft, cfg.hop, cfg.chunk_frames
+    n_frames = cfg.chunk_frames
     n = min(clip.samples.size, cfg.chunk_samples)
-    padded = np.zeros(cfg.chunk_samples + n_fft - hop)
+    padded = np.zeros(cfg.chunk_samples + N_FFT - HOP)
     padded[:n] = clip.samples[:n]
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
-    window, fb = _stft_constants(n_fft, cfg.n_mels)
-    power = np.zeros((n_frames, n_fft // 2 + 1))
-    live = min(n_frames, -(-n // hop))  # frames that start before the clip ends
+    frames = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP]
+    window, fb = _stft_constants(cfg.n_mels)
+    power = np.zeros((n_frames, N_FFT // 2 + 1))
+    live = min(n_frames, -(-n // HOP))  # frames that start before the clip ends
     for start in range(0, live, STFT_BLOCK):
         stop = min(start + STFT_BLOCK, live)
         np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=power[start:stop])
         power[start:stop] **= 2
     mel_energy = power @ fb.T
-    np.maximum(mel_energy, cfg.log_floor, out=mel_energy)
+    np.maximum(mel_energy, LOG_FLOOR, out=mel_energy)
     return LogMelSpectrogram(values=np.log(mel_energy, out=mel_energy).T)
 
 
-def normalize(spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> LogMelSpectrogram:
-    """Clamp below at (global max - clamp_range), then map x -> (x + shift) / scale.
+def normalize(spec: LogMelSpectrogram) -> LogMelSpectrogram:
+    """Clamp below at (global max - CLAMP_RANGE), then map x -> (x + AFFINE_SHIFT) / AFFINE_SCALE.
 
-    With the default 8/4/4 parameters the output range never exceeds 2.
+    So the output range never exceeds CLAMP_RANGE / AFFINE_SCALE = 2.
     Returns a new array; spec is left as it is.
     """
-    floor = float(spec.values.max()) - cfg.clamp_range
+    floor = float(spec.values.max()) - CLAMP_RANGE
     values = np.maximum(spec.values, floor)
-    values += cfg.affine_shift
-    values /= cfg.affine_scale
+    values += AFFINE_SHIFT
+    values /= AFFINE_SCALE
     return LogMelSpectrogram(values=values)
 
 
 def featurize(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
     """log_mel followed by normalize: the encoder-ready representation."""
-    return normalize(log_mel(clip, cfg), cfg)
+    return normalize(log_mel(clip, cfg))
 
 
 # ---------------------------------------------------------------------------

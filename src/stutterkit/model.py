@@ -767,19 +767,22 @@ def forward_prefix(
 ) -> LayerInput:
     """The input of encoder layer `stop` for a normalized [n_mels x T]
     spectrogram (layer 0: the conv stem plus positions) or a LayerInput, cast
-    to the registry's dtype. ValueError, before any work, unless
-    0 <= x.layer <= stop <= n_layers. If `caches` is given, the stem's backward
-    cache (None for a LayerInput) and then each layer's are appended to it;
-    otherwise each is freed as soon as its step is done."""
-    start = x.layer if isinstance(x, LayerInput) else 0
+    to the registry's dtype. Before any work: ValueError unless
+    0 <= x.layer <= stop <= n_layers, ShapeMismatch unless a LayerInput's h is
+    [T x d_model] with 1 <= T <= max_positions, and NonFiniteInput for a NaN or
+    Inf in either input. If `caches` is given, the stem's backward cache (None
+    for a LayerInput) and then each layer's are appended to it; otherwise each
+    is freed as soon as its step is done."""
+    layer_input = isinstance(x, LayerInput)
+    start = x.layer if layer_input else 0
     if not 0 <= start <= stop <= cfg.n_layers:
         raise ValueError(f"layers {start}..{stop} are not a range in 0..{cfg.n_layers}")
-    if isinstance(x, LayerInput):
-        h, stem = np.asarray(x.h, dtype=registry.dtype), None
-    else:
-        h = np.asarray(x, dtype=registry.dtype)
-        if not np.all(np.isfinite(h)):
-            raise NonFiniteInput("non-finite values in input spectrogram")
+    h, stem = np.asarray(x.h if layer_input else x, dtype=registry.dtype), None
+    if layer_input and (h.shape[1:] != (cfg.d_model,) or not 0 < len(h) <= cfg.max_positions):
+        raise ShapeMismatch(f"layer input {h.shape} is not [1..{cfg.max_positions} x {cfg.d_model}]")
+    if not np.all(np.isfinite(h)):
+        raise NonFiniteInput("non-finite values in the model's input")
+    if not layer_input:
         h, stem = _conv_stem_fwd(h, registry, cfg)
         h += registry["embed_positions"][: h.shape[0]]
         stem = None if caches is None else _stem_cache(stem)  # frees z and Phi(z) before the layers

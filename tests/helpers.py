@@ -17,7 +17,15 @@ import wave
 
 import numpy as np
 
-from stutterkit.featurizer import SAMPLE_RATE, FeaturizerConfig, hann_window, mel_filterbank
+from stutterkit.featurizer import (
+    HOP,
+    LOG_FLOOR,
+    N_FFT,
+    SAMPLE_RATE,
+    FeaturizerConfig,
+    hann_window,
+    mel_filterbank,
+)
 from stutterkit.labels import LABELS
 from stutterkit.model import LN_EPS, ModelConfig, ParameterRegistry
 
@@ -46,14 +54,14 @@ def naive_log_mel(samples: np.ndarray, cfg: FeaturizerConfig) -> np.ndarray:
     chunk = np.zeros(cfg.chunk_samples)
     take = min(samples.size, cfg.chunk_samples)
     chunk[:take] = samples[:take]
-    padded = np.concatenate([chunk, np.zeros(cfg.n_fft - cfg.hop)])
-    window = hann_window(cfg.n_fft)
+    padded = np.concatenate([chunk, np.zeros(N_FFT - HOP)])
+    window = hann_window(N_FFT)
     fb = mel_filterbank(cfg)
     cols = []
     for t in range(cfg.chunk_frames):
-        frame = padded[t * cfg.hop : t * cfg.hop + cfg.n_fft] * window
+        frame = padded[t * HOP : t * HOP + N_FFT] * window
         power = naive_dft_magnitude(frame) ** 2
-        cols.append(np.log(np.maximum(fb @ power, cfg.log_floor)))
+        cols.append(np.log(np.maximum(fb @ power, LOG_FLOOR)))
     return np.stack(cols, axis=1)
 
 
@@ -62,10 +70,10 @@ def whole_chunk_log_mel(samples: np.ndarray, cfg: FeaturizerConfig) -> np.ndarra
     padding frames included: the reference that log_mel's skipped padding
     frames and FFT blocks must equal bit for bit."""
     x = samples[: cfg.chunk_samples]
-    padded = np.concatenate([x, np.zeros(cfg.chunk_samples - x.size + cfg.n_fft - cfg.hop)])
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop][: cfg.chunk_frames]
-    power = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)) ** 2
-    return np.log(np.maximum(power @ mel_filterbank(cfg).T, cfg.log_floor)).T
+    padded = np.concatenate([x, np.zeros(cfg.chunk_samples - x.size + N_FFT - HOP)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP][: cfg.chunk_frames]
+    power = np.abs(np.fft.rfft(frames * hann_window(N_FFT), axis=1)) ** 2
+    return np.log(np.maximum(power @ mel_filterbank(cfg).T, LOG_FLOOR)).T
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,20 @@ def test_featurize_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_key_set_twice_is_usage_error(tmp_path, capsys, monkeypatch):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_tone_wav(in_dir / "c.wav", 1.0, 440.0)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_mels=80\n# the tiny model\nseed=3\n n_mels = 12\n", encoding="utf-8")
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    rc = main(["featurize", str(in_dir), str(out_dir), "--config", str(cfg)])
+    assert rc == 2
+    assert "n_mels is set twice, on lines 1 and 4" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -176,12 +190,8 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, want_rc",
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
-     ("n_heads=0", 2), ("hop_ms=0", 2), ("window_ms=0", 2), ("max_epochs=0", 2),
-     ("window_ms=5", 2), ("hop_ms=30", 2), ("window_ms=10", 0),
-     ("affine_scale=0", 2), ("affine_scale=-4", 2), ("chunk_length_s=inf", 2),
-     ("chunk_length_s=1e308", 2),
-     ("affine_shift=inf", 2), ("clamp_range=nan", 2), ("log_floor=inf", 2),
-     ("clamp_range=-1", 2), ("beta1=1", 2), ("beta2=1", 2), ("beta1=-1", 2),
+     ("n_heads=0", 2), ("max_epochs=0", 2), ("chunk_length_s=inf", 2),
+     ("chunk_length_s=1e308", 2), ("beta1=1", 2), ("beta2=1", 2), ("beta1=-1", 2),
      ("learning_rate=nan", 2), ("learning_rate=inf", 2), ("weight_decay=nan", 2),
      ("eps=nan", 2), ("eps=0", 2), ("threshold=nan", 2), ("threshold=2", 2),
      ("max_steps=0", 2), ("max_steps=-3", 2), ("weight_decay=-1", 2), ("beta1=0", 0),
@@ -199,7 +209,9 @@ def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc
         assert line.split("=")[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["n_classes=6", "attention_key_bias=false", "seed=0", "n_fft=400"])
+@pytest.mark.parametrize("line", ["n_classes=6", "attention_key_bias=false", "seed=0", "n_fft=400",
+                                  "window_ms=25", "hop_ms=10", "log_floor=1e-10", "clamp_range=8.0",
+                                  "affine_shift=4.0", "affine_scale=4.0"])
 def test_fixed_and_unused_settings_are_not_config_keys(tmp_path, capsys, line):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -701,25 +713,6 @@ def test_chunk_shorter_than_the_fft_window_is_usage_error(
     rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
     assert rc == 2
     assert "n_fft=400 exceeds chunk" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command", ["featurize", "train", "eval"])
-def test_window_shorter_than_the_hop_is_usage_error(pipeline, tmp_path, capsys, monkeypatch, command):
-    root, data_dir, _, run_dir = pipeline
-    cfg_path = tmp_path / "c.cfg"
-    write_config_file(cfg_path, **{**TINY_CFG, "window_ms": 5})
-    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
-    out_dir = tmp_path / "out"
-    inputs, options = {
-        "featurize": ([data_dir / "train" / "audio"], []),
-        "train": ([data_dir / "train" / "manifest.csv", data_dir / "val" / "manifest.csv"],
-                  ["--freeze", "UnFrz0-1"]),
-        "eval": ([run_dir / "checkpoint.bin", data_dir / "test" / "manifest.csv"], []),
-    }[command]
-    rc = main([command, *map(str, inputs), str(out_dir), "--config", str(cfg_path), *options])
-    assert rc == 2
-    assert "window_ms=5 (80 samples) is shorter than hop_ms=10 (160 samples)" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

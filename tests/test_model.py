@@ -788,6 +788,18 @@ def test_forward_prefix_checks_its_input_and_stop(monkeypatch):
                 forward(LayerInput(layer, h), reg, TINY)
             with pytest.raises(ValueError):
                 forward_with_cache(LayerInput(layer, h), reg, TINY)
+        nan_h = h.copy()
+        nan_h[1, 2] = np.nan
+        bad = [(np.zeros((4, TINY.d_model + 1)), ShapeMismatch), (h[0], ShapeMismatch),
+               (np.zeros((TINY.max_positions + 1, TINY.d_model)), ShapeMismatch),
+               (h[:0], ShapeMismatch), (nan_h, NonFiniteInput)]
+        for bad_h, error in bad:
+            with pytest.raises(error):
+                forward_prefix(LayerInput(1, bad_h), reg, TINY, n)
+            with pytest.raises(error):
+                forward(LayerInput(1, bad_h), reg, TINY)
+            with pytest.raises(error):
+                forward_with_cache(LayerInput(1, bad_h), reg, TINY)
     x[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):
         forward_prefix(x, reg, TINY, 0)
