@@ -185,7 +185,10 @@ def cmd_featurize(args) -> int:
 
 def _read_speaker_groups(path: str) -> dict[str, list[str]]:
     with open(path, encoding="utf-8") as f:
-        groups = json.load(f)
+        try:
+            groups = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise UsageError(f"{path}: not JSON: {e}") from None
     if not isinstance(groups, dict) or not all(
         isinstance(v, list) for v in groups.values()
     ):
@@ -197,6 +200,7 @@ def cmd_curate(args) -> int:
     out_dir = Path(args.out_dir)
     audio_dir = Path(args.audio_dir)
     records = curation.read_inventory(args.inventory)
+    groups = _read_speaker_groups(args.groups)
     kept, rejections = curation.clean(records)
     parts = {
         r.clip_id: curation.pair_part(featurizer.load_wav(audio_dir / f"{r.clip_id}.wav"))
@@ -204,7 +208,6 @@ def cmd_curate(args) -> int:
     }
     pairs = curation.pair(kept)
     balanced = curation.balance_no_stutter(pairs, seed=args.seed)
-    groups = _read_speaker_groups(args.groups)
     plan = curation.PLANS[args.plan]
     manifests = curation.build_splits(balanced, groups, plan)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,7 +304,7 @@ def cmd_train(args) -> int:
     last = history[-1]
     print(
         f"trained {len(history)} epochs ({last['step']} steps); "
-        f"best {train_cfg.early_stop_metric} score {max(h['score'] for h in history):.6f}"
+        f"best macro_f1 score {max(h['score'] for h in history):.6f}"
     )
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,8 +53,10 @@ class ClipRecord:
     label: str | None = None  # single unanimous label, set by clean()
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"clip {self.clip_id!r}: duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"clip {self.clip_id!r}: duration must be positive and finite")
+        if self.n_speakers_in_clip < 1:
+            raise ValueError(f"clip {self.clip_id!r}: n_speakers must be >= 1")
         for name, votes in self.annotator_votes.items():
             if not 0 <= int(votes) <= N_ANNOTATORS:
                 raise ValueError(
@@ -312,18 +315,20 @@ def _csv_rows(path: str | Path, kind: str, fields: list[str]):
 
 def read_inventory(path: str | Path) -> list[ClipRecord]:
     """Parse the annotated-clip CSV (see INVENTORY_FIELDS for the header).
-    Raises ValueError on malformed input."""
+    Raises ValueError, naming the line, on malformed input or a repeated
+    clip id."""
     records = []
+    first_line: dict[str, int] = {}
     for line, row in _csv_rows(path, "inventory", INVENTORY_FIELDS):
-        votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
-        cell = row["votes_other_json"].strip()
-        if cell:  # an empty cell means {}; most rows have one, so skip the parse
-            other = json.loads(cell)
-            if not isinstance(other, dict) or not all(type(v) in (int, str) for v in other.values()):
-                raise ValueError(f"inventory {path} line {line}: bad votes_other_json {other!r}")
-            votes.update({k: int(v) for k, v in other.items()})
-        records.append(
-            ClipRecord(
+        try:
+            votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
+            cell = row["votes_other_json"].strip()
+            if cell:  # an empty cell means {}; most rows have one, so skip the parse
+                other = json.loads(cell)
+                if not isinstance(other, dict) or {type(v) for v in other.values()} - {int, str}:
+                    raise ValueError(f"bad votes_other_json {other!r}")
+                votes.update({k: int(v) for k, v in other.items()})
+            record = ClipRecord(
                 clip_id=row["clip_id"],
                 episode_id=row["episode_id"],
                 speaker_id=row["speaker_id"],
@@ -331,7 +336,11 @@ def read_inventory(path: str | Path) -> list[ClipRecord]:
                 annotator_votes=votes,
                 n_speakers_in_clip=int(row["n_speakers"]),
             )
-        )
+            if (first := first_line.setdefault(record.clip_id, line)) != line:
+                raise ValueError(f"clip {record.clip_id!r} repeats line {first}")
+        except ValueError as e:
+            raise ValueError(f"inventory {path} line {line}: {e}") from None
+        records.append(record)
     return records
 
 
@@ -374,7 +383,10 @@ def read_split(manifest_path: str | Path) -> list[dict]:
     base = Path(manifest_path).parent
     rows = []
     for line, row in _csv_rows(manifest_path, "split manifest", SPLIT_FIELDS):
-        labels = tuple(int(row[l]) for l in LABELS)
+        try:
+            labels = tuple(int(row[l]) for l in LABELS)
+        except ValueError as e:
+            raise ValueError(f"split manifest {manifest_path} line {line}: {e}") from None
         if not set(labels) <= {0, 1}:
             raise ValueError(f"split manifest {manifest_path} line {line}: label bits must be 0/1")
         rows.append(

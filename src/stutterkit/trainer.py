@@ -1,6 +1,6 @@
-"""Fine-tuning loop: binary cross-entropy over six label bits, Adam with
-decoupled weight decay, layer freezing, and early stopping on a validation
-metric.
+"""Fine-tuning loop: binary cross-entropy over six label bits, Adam at its
+published constants, layer freezing, and early stopping on validation
+macro-F1.
 
 A training example is (spectrogram values [n_mels x T], label bits [6]).
 Gradients are averaged over the batch AND the six classes, so the loss is
@@ -36,33 +36,22 @@ class NonFiniteGradient(ValueError):
     """NaN or Inf gradient; the step is refused."""
 
 
+# Adam's published defaults (Kingma & Ba, arXiv 1412.6980), which the paper fine-tunes with.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 2.5e-5
     batch_size: int = 8
     max_epochs: int = 50
     early_stop_patience: int = 3
-    early_stop_metric: str = "macro_f1"  # "macro_f1" | "loss"
     threshold: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     max_steps: int | None = None  # optimizer-step cap, checked across epochs
 
     def __post_init__(self) -> None:
-        if self.early_stop_metric not in ("macro_f1", "loss"):
-            raise ValueError(
-                f"early_stop_metric must be 'macro_f1' or 'loss', got {self.early_stop_metric!r}"
-            )
-        for name in ("learning_rate", "eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError("weight_decay must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         for name in ("batch_size", "max_epochs", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -132,18 +121,16 @@ def adam_update(
     state: TrainState,
     cfg: TrainConfig,
 ) -> None:
-    """One Adam step over the trainable parameters, in place. Weight decay is
-    decoupled (applied directly to the weights, not through the moments).
+    """One Adam step (BETA1, BETA2, EPS) over the trainable parameters, in place.
 
     Each tensor runs, one model.BLOCK of elements at a time, the chain
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        w -= lr*wd*w;  w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
     in place, with two block-sized scratch buffers for its temporaries and the
     same operations in the same order, so results are bit-identical."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
     for name, g in grads.items():
         entry = registry.entry(name)
         if not entry.trainable:
@@ -154,20 +141,18 @@ def adam_update(
         scratch = np.empty((2, min(g.size, model.BLOCK)), np.result_type(g, 0.0))
         for gb, m, v, w in model.blocks(g, state.m[name], state.v[name], entry.value):
             step, denom = scratch[:, : gb.size]
-            np.multiply(gb, 1.0 - cfg.beta1, out=step)
-            m *= cfg.beta1
+            np.multiply(gb, 1.0 - BETA1, out=step)
+            m *= BETA1
             m += step
-            np.multiply(gb, 1.0 - cfg.beta2, out=denom)
+            np.multiply(gb, 1.0 - BETA2, out=denom)
             denom *= gb
-            v *= cfg.beta2
+            v *= BETA2
             v += denom
-            if cfg.weight_decay:
-                w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
             np.divide(m, bc1, out=step)
             step *= cfg.learning_rate
             np.divide(v, bc2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += cfg.eps
+            denom += EPS
             step /= denom
             w -= step
 
@@ -208,10 +193,6 @@ def evaluate_split(
     return float(np.mean(losses)), report
 
 
-def _epoch_score(metric: str, val_loss: float, macro_f1: float) -> float:
-    return macro_f1 if metric == "macro_f1" else -val_loss
-
-
 def fit(
     train_examples: Sequence[tuple[np.ndarray, np.ndarray]],
     val_examples: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -225,7 +206,7 @@ def fit(
     Each epoch shuffles the training set (seeded permutation), walks it in
     batches of batch_size (last batch may be short), then scores the
     validation split. Early stopping keeps the parameters from the best
-    epoch: a strict improvement in the monitored score resets the patience
+    epoch: a strict improvement in validation macro-F1 resets the patience
     counter; after early_stop_patience consecutive non-improving epochs
     training stops, so a constant metric runs patience+1 epochs (the first
     always improves on the -inf initial score). Training also stops after
@@ -272,10 +253,9 @@ def fit(
         val_loss, report = evaluate_split(
             val_examples, registry, model_cfg, train_cfg.threshold
         )
-        score = _epoch_score(train_cfg.early_stop_metric, val_loss, report.macro_f1)
-        improved = score > best_score
+        improved = report.macro_f1 > best_score
         if improved:
-            best_score = score
+            best_score = report.macro_f1
             best = {name: registry[name].copy() for name in trainable}
             epochs_since_improvement = 0
         else:
@@ -289,7 +269,7 @@ def fit(
                 "val_micro": report.micro_f1,
                 "val_macro": report.macro_f1,
                 "val_weighted": report.weighted_f1,
-                "score": score,
+                "score": report.macro_f1,
                 "improved": improved,
             }
         )

@@ -191,11 +191,9 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
     "line, want_rc",
     [("attention_key_bias=tru", 2), ("batch_size=eight", 2), ("max_steps=none", 0),
      ("n_heads=0", 2), ("max_epochs=0", 2), ("chunk_length_s=inf", 2),
-     ("chunk_length_s=1e308", 2), ("beta1=1", 2), ("beta2=1", 2), ("beta1=-1", 2),
-     ("learning_rate=nan", 2), ("learning_rate=inf", 2), ("weight_decay=nan", 2),
-     ("eps=nan", 2), ("eps=0", 2), ("threshold=nan", 2), ("threshold=2", 2),
-     ("max_steps=0", 2), ("max_steps=-3", 2), ("weight_decay=-1", 2), ("beta1=0", 0),
-     ("weight_decay=0", 0), ("threshold=0", 0), ("threshold=1", 0)],
+     ("chunk_length_s=1e308", 2), ("learning_rate=nan", 2), ("learning_rate=inf", 2),
+     ("threshold=nan", 2), ("threshold=2", 2), ("max_steps=0", 2), ("max_steps=-3", 2),
+     ("threshold=0", 0), ("threshold=1", 0)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -211,7 +209,9 @@ def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc
 
 @pytest.mark.parametrize("line", ["n_classes=6", "attention_key_bias=false", "seed=0", "n_fft=400",
                                   "window_ms=25", "hop_ms=10", "log_floor=1e-10", "clamp_range=8.0",
-                                  "affine_shift=4.0", "affine_scale=4.0"])
+                                  "affine_shift=4.0", "affine_scale=4.0", "beta1=0.9",
+                                  "beta2=0.999", "eps=1e-8", "weight_decay=0.0",
+                                  "early_stop_metric=macro_f1"])
 def test_fixed_and_unused_settings_are_not_config_keys(tmp_path, capsys, line):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -348,15 +348,18 @@ def test_curate_missing_groups_file_is_runtime_error(pipeline, tmp_path, capsys)
     assert rc == 1
 
 
-def test_curate_malformed_groups_json_is_usage_error(pipeline, tmp_path, capsys):
+def test_curate_malformed_groups_json_is_usage_error(pipeline, tmp_path, capsys, monkeypatch):
     root, _, _, _ = pipeline
     bad = tmp_path / "groups.json"
-    bad.write_text(json.dumps(["not", "a", "dict"]), encoding="utf-8")
-    rc = main([
-        "curate", str(root / "inventory.csv"), str(root / "audio"), str(tmp_path / "x"),
-        "--plan", "SEP-28k-E", "--groups", str(bad),
-    ])
-    assert rc == 2
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    for text in (json.dumps(["not", "a", "dict"]), '{"4-DS": ["s0"'):
+        bad.write_text(text, encoding="utf-8")
+        rc = main([
+            "curate", str(root / "inventory.csv"), str(root / "audio"), str(tmp_path / "x"),
+            "--plan", "SEP-28k-E", "--groups", str(bad),
+        ])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

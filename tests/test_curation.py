@@ -3,6 +3,7 @@ ordered-pair construction, per-speaker fluent-pair balancing, split plans,
 and manifest I/O."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import curation_fixture, inventory_row, write_inventory_csv
 from stutterkit.curation import (
+    INVENTORY_FIELDS,
     NO_STUTTER_KEY,
     PART_SAMPLES,
     PLANS,
@@ -64,6 +66,11 @@ def test_clip_record_validation():
         _rec("c", {"Block": 4})
     with pytest.raises(ValueError):
         _rec("c", {"Block": -1})
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _rec("c", {"Block": 3}, duration=duration)
+    with pytest.raises(ValueError, match="n_speakers"):
+        _rec("c", {"Block": 3}, n_speakers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +483,18 @@ def test_read_inventory_missing_column(tmp_path):
 def test_read_inventory_rejects_malformed_rows(tmp_path):
     path = tmp_path / "inv.csv"
     good = inventory_row("c1", "ep0", "s0", 3.5, label="Block")
-    for bad_row in (good[:-3], [*good[:-1], '["Music"]'], [*good[:-1], '{"Music": null}']):
+    block = INVENTORY_FIELDS.index("votes_Block")
+    repeat = inventory_row("c1", "ep0", "s0", 3.5, label="SoundRep")
+    for bad_row in (
+        good[:-3], [*good[:-1], '["Music"]'], [*good[:-1], '{"Music": null}'],
+        [*good[:-1], '{"Music": "x"}'], [*good[:3], "abc", *good[4:]],
+        [*good[:4], "1.0", *good[5:]], [*good[:block], "x", *good[block + 1:]], repeat,
+    ):
         write_inventory_csv(path, [good, bad_row])
         with pytest.raises(ValueError, match="line 3"):
             read_inventory(path)
+    with pytest.raises(ValueError, match="line 3: clip 'c1' repeats line 2"):
+        read_inventory(path)
 
 
 def _split_csv(path, header, *rows):
@@ -500,8 +515,8 @@ def test_read_split_rejects_malformed_manifest(tmp_path):
         with pytest.raises(ValueError, match=column):
             read_split(path)
     bad_bit = ["audio/x.wav", "2", "0", "0", "0", "1", "0", "Block_WordRep_", "s0"]
-    for row in (bad_bit, good[:-2], [*good[:1], "x", *good[2:]]):
-        with pytest.raises(ValueError):
+    for row in (bad_bit, good[:-2], [*good[:1], "x", *good[2:]], [*good[:1], "1.0", *good[2:]]):
+        with pytest.raises(ValueError, match="line 3"):
             read_split(_split_csv(tmp_path / "rows.csv", SPLIT_FIELDS, good, row))
 
 

@@ -248,17 +248,6 @@ def test_adam_skips_frozen_entries():
     assert float(reg["w"][0]) == 1.0
 
 
-def test_adam_decoupled_weight_decay():
-    reg = ParameterRegistry()
-    reg.add("w", np.array([2.0]), HEAD)
-    state = TrainState()
-    cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
-    adam_update(reg, {"w": np.array([1.0])}, state, cfg)
-    # decay first: w = 2 - 0.1*0.5*2 = 1.9, then the Adam step (~ -lr)
-    hand = hand_adam_trace(lambda w: 1.0, 1.9, 1, 0.1)[0]
-    assert float(reg["w"][0]) == pytest.approx(hand, abs=1e-12)
-
-
 def test_adam_in_place_is_bit_identical_to_the_reference_expression():
     rng = np.random.default_rng(12)
     shapes = {"a": (64, 48), "b": (48,), "frozen": (5,)}
@@ -268,22 +257,21 @@ def test_adam_in_place_is_bit_identical_to_the_reference_expression():
     ref = {name: reg[name].copy() for name in ("a", "b")}
     ref_m = {name: np.zeros_like(w) for name, w in ref.items()}
     ref_v = {name: np.zeros_like(w) for name, w in ref.items()}
-    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+    cfg = TrainConfig(learning_rate=1e-3)
     state = TrainState()
     for t in range(1, 5):
         grads = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
         adam_update(reg, grads, state, cfg)
-        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        bc1, bc2 = 1.0 - trainer_mod.BETA1**t, 1.0 - trainer_mod.BETA2**t
         for name, w in ref.items():
             g, m, v = grads[name], ref_m[name], ref_v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
+            m *= trainer_mod.BETA1
+            m += (1.0 - trainer_mod.BETA1) * g
+            v *= trainer_mod.BETA2
+            v += (1.0 - trainer_mod.BETA2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            w -= cfg.learning_rate * cfg.weight_decay * w
-            w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + trainer_mod.EPS)
     for name, w in ref.items():
         assert reg[name].dtype == np.float32
         assert np.array_equal(reg[name], w), name
@@ -294,20 +282,20 @@ def test_adam_in_place_is_bit_identical_to_the_reference_expression():
 
 def _unblocked_adam(w, m, v, g, t, cfg):
     """One Adam step over the whole tensor at once, with full-size temporaries."""
-    bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
-    step = np.multiply(g, 1.0 - cfg.beta1)
-    m *= cfg.beta1
+    b1, b2 = trainer_mod.BETA1, trainer_mod.BETA2
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
     m += step
-    denom = np.multiply(g, 1.0 - cfg.beta2)
+    denom = np.multiply(g, 1.0 - b2)
     denom *= g
-    v *= cfg.beta2
+    v *= b2
     v += denom
-    w -= np.multiply(w, cfg.learning_rate * cfg.weight_decay, out=step)
     np.divide(m, bc1, out=step)
     step *= cfg.learning_rate
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += cfg.eps
+    denom += trainer_mod.EPS
     step /= denom
     w -= step
 
@@ -323,7 +311,7 @@ def test_blocked_adam_equals_the_whole_tensor_chain_and_writes_only_weights_and_
     frozen_before = reg["frozen"].copy()
     ref = {name: [reg[name].copy(), np.zeros_like(reg[name]), np.zeros_like(reg[name])]
            for name in shapes if name != "frozen"}
-    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+    cfg = TrainConfig(learning_rate=1e-3)
     state = TrainState()
     for t in range(1, 4):
         grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
@@ -346,8 +334,6 @@ def test_blocked_adam_equals_the_whole_tensor_chain_and_writes_only_weights_and_
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(early_stop_metric="accuracy")
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
@@ -409,7 +395,7 @@ def test_one_forward_cache_alive_at_a_time(run):
 # fit: early stopping control flow
 
 
-def _fit_with_fake_scores(monkeypatch, scores, metric="macro_f1", **cfg_kw):
+def _fit_with_fake_scores(monkeypatch, scores, **cfg_kw):
     """Run fit with evaluate_split faked to emit the given macro-F1 series."""
     from stutterkit.evaluator import f1_report
 
@@ -424,7 +410,7 @@ def _fit_with_fake_scores(monkeypatch, scores, metric="macro_f1", **cfg_kw):
 
     monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
     reg = build_registry(TINY, seed=8)
-    cfg = TrainConfig(learning_rate=1e-4, batch_size=2, early_stop_metric=metric, **cfg_kw)
+    cfg = TrainConfig(learning_rate=1e-4, batch_size=2, **cfg_kw)
     _, history = fit(_examples(4, seed=9), _examples(2, seed=10), reg, TINY, cfg)
     return history
 
@@ -457,23 +443,6 @@ def test_fit_recovery_resets_patience(monkeypatch):
     )
     # dip at epoch 1 is forgiven by the improvement at epoch 2
     assert [row["improved"] for row in history] == [True, False, True, False, False]
-
-
-def test_fit_loss_metric_uses_negated_val_loss(monkeypatch):
-    losses = iter([0.9, 0.7, 0.8, 0.8, 0.8])
-
-    def fake(examples, registry, model_cfg, threshold):
-        from stutterkit.evaluator import f1_report
-
-        report = f1_report([(1, 0, 0, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)], threshold=threshold)
-        return next(losses), report
-
-    monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
-    reg = build_registry(TINY, seed=11)
-    cfg = TrainConfig(early_stop_metric="loss", early_stop_patience=2, max_epochs=50, batch_size=2)
-    _, history = fit(_examples(4, seed=12), _examples(2, seed=13), reg, TINY, cfg)
-    assert [row["improved"] for row in history] == [True, True, False, False]
-    assert history[1]["score"] == pytest.approx(-0.7)
 
 
 def test_fit_restores_best_epoch_weights(monkeypatch):
