@@ -48,9 +48,13 @@ USAGE_ERRORS = (
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8: {e}") from None
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -301,16 +301,23 @@ SPLIT_FIELDS = ["path", *LABELS, "combination_key", "speaker_id"]
 
 def _csv_rows(path: str | Path, kind: str, fields: list[str]):
     """(line number, row) for each row of a CSV that has every named column;
-    ValueError on a missing column or a row with too few fields."""
+    ValueError on a missing column, a row with too few fields, a row csv
+    cannot parse (such as a field over csv.field_size_limit) or bytes that
+    are not UTF-8."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        missing = set(fields) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{kind} {path} missing columns: {sorted(missing)}")
-        for row in reader:
-            if None in row.values():
-                raise ValueError(f"{kind} {path} line {reader.line_num}: too few fields")
-            yield reader.line_num, row
+        try:
+            missing = set(fields) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"{kind} {path} missing columns: {sorted(missing)}")
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"{kind} {path} line {reader.line_num}: too few fields")
+                yield reader.line_num, row
+        except csv.Error as e:  # DictReader.line_num moves only once a row parses
+            raise ValueError(f"{kind} {path} line {reader.reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{kind} {path}: not UTF-8: {e}") from None
 
 
 def read_inventory(path: str | Path) -> list[ClipRecord]:
@@ -327,6 +334,8 @@ def read_inventory(path: str | Path) -> list[ClipRecord]:
                 other = json.loads(cell)
                 if not isinstance(other, dict) or {type(v) for v in other.values()} - {int, str}:
                     raise ValueError(f"bad votes_other_json {other!r}")
+                if retained := [l for l in LABELS if l in other]:
+                    raise ValueError(f"votes_other_json names retained labels {retained}")
                 votes.update({k: int(v) for k, v in other.items()})
             record = ClipRecord(
                 clip_id=row["clip_id"],

@@ -367,24 +367,9 @@ def erf(x: np.ndarray) -> np.ndarray:
     return _erf_inplace(y, np.empty_like(y), np.empty_like(y))
 
 
-def _floating(x) -> np.ndarray:
-    """x as a floating array blocks() takes (copied only if it is neither C- nor F-contiguous)."""
-    x = np.asarray(x, dtype=np.result_type(x, 0.0))
-    return x if x.flags.c_contiguous or x.flags.f_contiguous else np.ascontiguousarray(x)
-
-
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gate of GELU(x) = x * Phi(x)."""
-    return _gelu_fwd(_floating(x))[1]
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    return _gelu_fwd(_floating(x))[0]
-
-
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """d GELU / dx = Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi), given phi =
-    normal_cdf(x) from the forward pass (of x's shape and layout)."""
+    Phi(x), the normal CDF that _gelu_fwd returns (of x's shape and layout)."""
     g = np.empty_like(x)
     for xb, pb, gb in blocks(x, phi, g):
         np.multiply(xb, xb, out=gb)
@@ -398,10 +383,6 @@ def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0).astype(x.dtype)
 
 
 # An activation is (forward, backward). forward(z) -> (a, s), where s is the
@@ -429,7 +410,7 @@ def _relu_fwd(z):
 
 
 def _relu_bwd(z, a):
-    return a, relu_grad(z)
+    return a, (z > 0).astype(z.dtype)
 
 
 _ACT = {"gelu": (_gelu_fwd, _gelu_bwd), "relu": (_relu_fwd, _relu_bwd)}
@@ -440,12 +421,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """Normalize over the last (feature) axis, then scale/shift by gamma/beta."""
-    y, _ = _layer_norm_fwd(x, gamma, beta, eps)
-    return y
 
 
 def _layer_norm_fwd(x, gamma, beta, eps=LN_EPS):
@@ -555,38 +530,6 @@ def _attention_core_bwd(dctx, cache, n_heads):
 
 # ---------------------------------------------------------------------------
 # Public spec-level operations
-
-
-def attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    out_w: np.ndarray,
-    out_b: np.ndarray,
-    n_heads: int,
-) -> np.ndarray:
-    """Multi-head scaled dot-product attention over pre-projected Q/K/V,
-    followed by the output projection."""
-    for name, a in (("q", q), ("k", k), ("v", v)):
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput(f"non-finite values in {name}")
-    ctx, _ = _attention_core_fwd(q, k, v, n_heads)
-    return _linear_fwd(ctx, out_w, out_b)
-
-
-def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
-    """Attention without the output projection (heads concatenated)."""
-    ctx, _ = _attention_core_fwd(q, k, v, n_heads)
-    return ctx
-
-
-def ffn(x: np.ndarray, w1, b1, w2, b2, activation: str = "gelu") -> np.ndarray:
-    """Position-wise feed-forward: act(x@W1 + b1) @ W2 + b2."""
-    if x.shape[-1] != w1.shape[0]:
-        raise ShapeMismatch(f"ffn input width {x.shape[-1]} != {w1.shape[0]}")
-    act, _ = _ACT[activation]
-    a, _ = act(_linear_fwd(x, w1, b1))
-    return _linear_fwd(a, w2, b2)
 
 
 def conv_stem(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:

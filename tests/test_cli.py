@@ -2,6 +2,7 @@
 curate -> train -> eval chain on a small synthetic corpus."""
 
 import argparse
+import csv
 import hashlib
 import importlib
 import json
@@ -174,6 +175,22 @@ def test_config_key_set_twice_is_usage_error(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "n_mels is set twice, on lines 1 and 4" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys, monkeypatch):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_tone_wav(in_dir / "c.wav", 1.0, 440.0)
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfen_mels=80\n")
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    rc = main(["featurize", str(in_dir), str(out_dir), "--config", str(cfg)])
+    assert rc == 2
+    assert f"{cfg}: not UTF-8" in capsys.readouterr().err
+    assert not out_dir.exists()
+    rc = main(["featurize", str(in_dir), str(out_dir), "--config", str(tmp_path / "missing.cfg")])
+    assert rc == 1
 
 
 def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
@@ -359,6 +376,21 @@ def test_curate_malformed_groups_json_is_usage_error(pipeline, tmp_path, capsys,
             "--plan", "SEP-28k-E", "--groups", str(bad),
         ])
         assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+def test_curate_unreadable_inventory_exits_one_and_names_the_file(pipeline, tmp_path, capsys,
+                                                                monkeypatch):
+    root, _, _, _ = pipeline
+    bad = tmp_path / "inventory.csv"
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    for tail in (b"\xff\n", b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n'):
+        bad.write_bytes((root / "inventory.csv").read_bytes() + tail)
+        rc = main([
+            "curate", str(bad), str(root / "audio"), str(tmp_path / "x"),
+            "--plan", "SEP-28k-E", "--groups", str(root / "groups.json"),
+        ])
+        assert rc == 1
         assert str(bad) in capsys.readouterr().err
 
 

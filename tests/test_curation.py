@@ -2,8 +2,10 @@
 ordered-pair construction, per-speaker fluent-pair balancing, split plans,
 and manifest I/O."""
 
+import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -495,6 +497,10 @@ def test_read_inventory_rejects_malformed_rows(tmp_path):
             read_inventory(path)
     with pytest.raises(ValueError, match="line 3: clip 'c1' repeats line 2"):
         read_inventory(path)
+    other = {"Block": 0, "WordRep": 3}
+    write_inventory_csv(path, [good, inventory_row("c2", "ep0", "s0", 3.5, "Block", other_votes=other)])
+    with pytest.raises(ValueError, match=r"line 3: .* names retained labels \['Block', 'WordRep'\]"):
+        read_inventory(path)
 
 
 def _split_csv(path, header, *rows):
@@ -518,6 +524,28 @@ def test_read_split_rejects_malformed_manifest(tmp_path):
     for row in (bad_bit, good[:-2], [*good[:1], "x", *good[2:]], [*good[:1], "1.0", *good[2:]]):
         with pytest.raises(ValueError, match="line 3"):
             read_split(_split_csv(tmp_path / "rows.csv", SPLIT_FIELDS, good, row))
+
+
+def test_csv_readers_name_the_file_for_unparsable_rows_and_bytes(tmp_path):
+    """An over-long field and a byte that is not UTF-8 are ValueErrors that
+    name the file (and, for csv's own errors, the line)."""
+    huge = "x" * (csv.field_size_limit() + 1)
+    good = inventory_row("c1", "ep0", "s0", 3.5, label="Block")
+    inv = tmp_path / "inv.csv"
+    write_inventory_csv(inv, [good, [*good[:-1], huge]])
+    with pytest.raises(ValueError, match=f"inventory {re.escape(str(inv))} line 3: field larger"):
+        read_inventory(inv)
+    write_inventory_csv(inv, [good])
+    inv.write_bytes(inv.read_bytes() + b"c\xff2,ep0\n")
+    with pytest.raises(ValueError, match=f"inventory {re.escape(str(inv))}: not UTF-8"):
+        read_inventory(inv)
+    split = ["audio/x.wav", "1", "0", "0", "0", "1", "0", "Block_WordRep_", "s0"]
+    manifest = _split_csv(tmp_path / "m.csv", SPLIT_FIELDS, split, [*split[:-1], huge])
+    with pytest.raises(ValueError, match=f"split manifest {re.escape(str(manifest))} line 3: field larger"):
+        read_split(manifest)
+    manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    with pytest.raises(ValueError, match=f"split manifest {re.escape(str(manifest))}: not UTF-8"):
+        read_split(manifest)
 
 
 def test_write_and_read_split_round_trip(tmp_path):

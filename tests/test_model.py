@@ -38,24 +38,18 @@ from stutterkit.model import (
     ParameterRegistry,
     ShapeMismatch,
     apply_freeze,
-    attention,
-    attention_core,
     backward_pass,
     build_registry,
     conv_stem,
     encoder_layer_forward,
     encoder_layer_group,
     erf,
-    ffn,
     forward,
     forward_prefix,
     forward_with_cache,
     frozen_prefix_depth,
-    gelu,
     gelu_grad,
-    layer_norm,
     load_checkpoint,
-    normal_cdf,
     param_specs,
     parse_freeze_spec,
     relu,
@@ -64,7 +58,15 @@ from stutterkit.model import (
     softmax,
     trainable_parameter_count,
 )
-from stutterkit.model import BLOCK, _conv1d_fwd, _gelu_fwd, blocks
+from stutterkit.model import (
+    BLOCK,
+    _attention_core_fwd,
+    _conv1d_fwd,
+    _ffn_sublayer_fwd,
+    _gelu_fwd,
+    _layer_norm_fwd,
+    blocks,
+)
 
 TINY = tiny_model_config()
 
@@ -118,8 +120,8 @@ def test_conv_stem_matches_naive_convolution():
     x = np.random.default_rng(1).uniform(-1, 1, size=(80, 4))
     got = conv_stem(x, reg, cfg)
     z1 = naive_conv1d(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)
-    z2 = naive_conv1d(gelu(z1), reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)
-    want = gelu(z2).T
+    z2 = naive_conv1d(_gelu_fwd(z1)[0], reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)
+    want = _gelu_fwd(z2)[0].T
     assert got.shape == want.shape == (2, 16)
     assert np.max(np.abs(got - want)) < 1e-6
 
@@ -169,7 +171,7 @@ def test_attention_single_key_is_projected_v():
     q, k, v = (rng.normal(size=(1, 8)) for _ in range(3))
     out_w = rng.normal(size=(8, 8))
     out_b = rng.normal(size=8)
-    got = attention(q, k, v, out_w, out_b, n_heads=2)
+    got = _attention_core_fwd(q, k, v, 2)[0] @ out_w + out_b
     assert np.allclose(got, v @ out_w + out_b, atol=1e-12)
 
 
@@ -179,7 +181,7 @@ def test_attention_identical_keys_average_values():
     q = rng.normal(size=(t, 8))
     k = np.tile(rng.normal(size=(1, 8)), (t, 1))
     v = rng.normal(size=(t, 8))
-    core = attention_core(q, k, v, n_heads=2)
+    core = _attention_core_fwd(q, k, v, 2)[0]
     assert np.allclose(core, np.tile(v.mean(axis=0), (t, 1)), atol=1e-12)
 
 
@@ -202,7 +204,7 @@ def test_attention_hand_case_two_by_two():
             [p10 * 1.0 + p11 * 3.0, p10 * 2.0 + p11 * 4.0],
         ]
     )
-    got = attention_core(q, k, v, n_heads=1)
+    got = _attention_core_fwd(q, k, v, 1)[0]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -214,21 +216,20 @@ def test_attention_softmax_rows_sum_to_one():
     assert np.all(probs >= 0.0)
 
 
-def test_attention_rejects_non_finite():
-    q = np.zeros((2, 8))
-    q[0, 0] = np.nan
-    with pytest.raises(NonFiniteInput):
-        attention(q, np.zeros((2, 8)), np.zeros((2, 8)), np.eye(8), np.zeros(8), n_heads=2)
-
-
 # ---------------------------------------------------------------------------
 # ffn
 
 
+def _ffn(x, w1, b1, w2, b2, activation):
+    """The forward's FFN sub-layer on these weights."""
+    p = {"ffn.w1": w1, "ffn.b1": b1, "ffn.w2": w2, "ffn.b2": b2}
+    return _ffn_sublayer_fwd(x, p, ModelConfig(ffn_activation=activation))[0]
+
+
 def test_ffn_zero_with_zero_biases():
     for act in ("relu", "gelu"):
-        out = ffn(np.zeros((3, 4)), np.ones((4, 8)), np.zeros(8), np.ones((8, 4)),
-                  np.zeros(4), activation=act)
+        out = _ffn(np.zeros((3, 4)), np.ones((4, 8)), np.zeros(8), np.ones((8, 4)),
+                   np.zeros(4), activation=act)
         assert np.all(out == 0.0)
 
 
@@ -239,7 +240,7 @@ def test_ffn_relu_gates_negatives():
     w2 = np.zeros((f, d))
     w2[:d, :d] = np.eye(d)
     x = np.array([[-1.0, 2.0, -3.0, 4.0]])
-    out = ffn(x, w1, np.zeros(f), w2, np.zeros(d), activation="relu")
+    out = _ffn(x, w1, np.zeros(f), w2, np.zeros(d), activation="relu")
     assert np.array_equal(out, np.array([[0.0, 2.0, 0.0, 4.0]]))
 
 
@@ -251,7 +252,7 @@ def test_ffn_matches_naive_double_loop_matmul():
     b1 = rng.normal(scale=0.02, size=f)
     w2 = rng.normal(scale=0.02, size=(f, d))
     b2 = rng.normal(scale=0.02, size=d)
-    got = ffn(x, w1, b1, w2, b2, activation="relu")
+    got = _ffn(x, w1, b1, w2, b2, activation="relu")
 
     hidden = np.empty(f)
     for j in range(f):
@@ -268,18 +269,13 @@ def test_ffn_matches_naive_double_loop_matmul():
     assert np.max(np.abs(got[0] - want)) < 1e-5
 
 
-def test_ffn_rejects_width_mismatch():
-    with pytest.raises(ShapeMismatch):
-        ffn(np.zeros((2, 5)), np.ones((4, 8)), np.zeros(8), np.ones((8, 4)), np.zeros(4))
-
-
 # ---------------------------------------------------------------------------
 # layer norm
 
 
 def test_layer_norm_constant_row_is_zero():
     x = np.full((3, 8), 2.5)
-    out = layer_norm(x, np.ones(8), np.zeros(8))
+    out = _layer_norm_fwd(x, np.ones(8), np.zeros(8))[0]
     assert np.max(np.abs(out)) < 1e-6  # epsilon keeps 0/0 at 0
 
 
@@ -287,12 +283,12 @@ def test_layer_norm_zero_gamma_gives_beta():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 8))
     beta = rng.normal(size=8)
-    out = layer_norm(x, np.zeros(8), beta)
+    out = _layer_norm_fwd(x, np.zeros(8), beta)[0]
     assert np.allclose(out, np.tile(beta, (4, 1)), atol=1e-12)
 
 
 def test_layer_norm_hand_values():
-    out = layer_norm(np.array([[1.0, 2.0, 3.0, 4.0]]), np.ones(4), np.zeros(4))
+    out = _layer_norm_fwd(np.array([[1.0, 2.0, 3.0, 4.0]]), np.ones(4), np.zeros(4))[0]
     want = np.array([-1.34164, -0.44721, 0.44721, 1.34164])
     assert np.max(np.abs(out[0] - want)) < 1e-4
 
@@ -905,10 +901,10 @@ def test_frozen_prefix_depth_needs_the_whole_group_frozen():
 def test_activation_helpers():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(relu(x), np.array([0.0, 0.0, 3.0]))
-    assert gelu(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert _gelu_fwd(np.zeros(3))[0].tolist() == [0.0, 0.0, 0.0]
     # gelu(x) ~ x for large positive x, ~0 for large negative
-    assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-6)
-    assert gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-6)
+    assert _gelu_fwd(np.array([10.0]))[0][0] == pytest.approx(10.0, abs=1e-6)
+    assert _gelu_fwd(np.array([-10.0]))[0][0] == pytest.approx(0.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +974,7 @@ def test_gelu_grad_matches_closed_form():
         0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) + v * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
         for v in x.tolist()
     ])
-    assert np.max(np.abs(gelu_grad(x, normal_cdf(x)) - want)) < 1e-15
+    assert np.max(np.abs(gelu_grad(x, _gelu_fwd(x)[1]) - want)) < 1e-15
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -991,14 +987,14 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     _, (stem, layers, _) = forward_with_cache(x, reg, TINY)
     dgelu1, _, _, dgelu2, _ = stem
     z1 = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
-    z2 = _conv1d_fwd(gelu(z1), reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
+    z2 = _conv1d_fwd(_gelu_fwd(z1)[0], reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
     assert dgelu1.dtype == dgelu2.dtype == dtype
-    assert np.array_equal(dgelu1, gelu_grad(z1, normal_cdf(z1)))
-    assert np.array_equal(dgelu2, gelu_grad(z2, normal_cdf(z2)))
+    assert np.array_equal(dgelu1, gelu_grad(z1, _gelu_fwd(z1)[1]))
+    assert np.array_equal(dgelu2, gelu_grad(z2, _gelu_fwd(z2)[1]))
     for _, z, phi in (layer[1][1] for layer in layers):
         assert phi.dtype == dtype
-        assert np.array_equal(gelu_grad(z, phi), gelu_grad(z, normal_cdf(z)))
-        assert np.array_equal(z * phi, gelu(z))
+        assert np.array_equal(gelu_grad(z, phi), gelu_grad(z, _gelu_fwd(z)[1]))
+        assert np.array_equal(z * phi, _gelu_fwd(z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1047,16 +1043,8 @@ def test_blocked_gelu_kernels_equal_the_whole_array_chain(size, dtype):
     want_a, want_phi = _unblocked_gelu(z)
     assert a.dtype == phi.dtype == dtype
     assert np.array_equal(a, want_a) and np.array_equal(phi, want_phi)
-    assert np.array_equal(gelu(z), want_a) and np.array_equal(normal_cdf(z), want_phi)
     assert np.array_equal(gelu_grad(z, phi), _unblocked_gelu_grad(z, want_phi))
     assert np.array_equal(z, before)
-
-
-def test_public_gelu_takes_any_layout():
-    z = np.random.default_rng(24).normal(size=(6, 10)).astype(np.float32)
-    strided = z[:, ::3]
-    assert np.array_equal(gelu(strided), _unblocked_gelu(np.ascontiguousarray(strided))[0])
-    assert np.array_equal(normal_cdf(np.arange(-3, 4)), _unblocked_gelu(np.arange(-3.0, 4.0))[1])
 
 
 def test_blocks_yields_aligned_views_that_write_through():
@@ -1109,7 +1097,7 @@ def test_passes_leave_their_inputs_and_caches_unchanged(placement, activation):
     # a layer's cached sub-layer input is still what that layer was given
     (_, (attn_in, *_)), _ = cache[1][1]
     gamma, beta = reg["layers.1.attn_norm.gamma"], reg["layers.1.attn_norm.beta"]
-    assert np.array_equal(attn_in, prefix.h if placement == "post" else layer_norm(prefix.h, gamma, beta))
+    assert np.array_equal(attn_in, prefix.h if placement == "post" else _layer_norm_fwd(prefix.h, gamma, beta)[0])
     snapshot = [a.copy() for a in _arrays(cache)]
     dlogits = np.linspace(-0.5, 0.5, 6)
     dlogits_before = dlogits.copy()

@@ -7,7 +7,9 @@ tests/golden.json, so a change that alters any artifact's bytes shows up.
 The runs:
 - the tiny criterion-6 chain (tests/helpers.curation_fixture): `featurize`
   the fixture clips, `curate` them, then `train` for 50 steps under
-  UnFrz0-1 and under Frz0-0+FrzFE, each followed by `eval` at 0.3 and 0.5;
+  UnFrz0-1 and under Frz0-0+FrzFE, each followed by `eval` at 0.3 and 0.5,
+  and for 8 steps under UnFrz0-1 with post-norm layers and a ReLU FFN,
+  followed by `eval` at 0.5;
 - paper scale (the default config): `train` for one step on two clips under
   UnFrz0-5 and under Frz0-4+FrzFE, each followed by `eval` on one clip.
 
@@ -37,6 +39,7 @@ GOLDEN = ROOT / "tests" / "golden.json"
 
 PAPER_CONFIG = dict(batch_size=2, max_epochs=1, max_steps=1)
 TINY_SPECS = ("UnFrz0-1", "Frz0-0+FrzFE")
+POST_RELU_CONFIG = dict(norm_placement="post", ffn_activation="relu", max_steps=8)
 PAPER_SPECS = ("UnFrz0-5", "Frz0-4+FrzFE")
 OUTPUTS = ("tiny", "paper")  # the directories digested; inputs live beside them
 
@@ -79,7 +82,9 @@ def run_all(root: Path) -> dict[str, str]:
 
     inventory, audio_dir, groups = curation_fixture(root / "inputs")
     tiny_cfg, paper_cfg = root / "inputs" / "tiny.cfg", root / "inputs" / "paper.cfg"
+    post_relu_cfg = root / "inputs" / "post_relu.cfg"
     write_config_file(tiny_cfg, **CRITERION_6_CONFIG)
+    write_config_file(post_relu_cfg, **{**CRITERION_6_CONFIG, **POST_RELU_CONFIG})
     write_config_file(paper_cfg, **PAPER_CONFIG)
     tiny = root / "tiny"
     _run(["featurize", str(audio_dir), str(tiny / "features"), "--config", str(tiny_cfg)])
@@ -87,6 +92,7 @@ def run_all(root: Path) -> dict[str, str]:
           "--plan", "SEP-28k-E-merged", "--groups", str(groups), "--seed", "11"])
     for spec in TINY_SPECS:
         _train_and_eval(tiny / "curated", tiny_cfg, spec, tiny / spec, ["0.3", "0.5"])
+    _train_and_eval(tiny / "curated", post_relu_cfg, "UnFrz0-1", tiny / "UnFrz0-1-post-relu", ["0.5"])
     paper = root / "paper"
     for split, n in (("train", 2), ("val", 1), ("test", 1)):
         _first_rows(tiny / "curated" / split, paper / "splits" / split, n)
