@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import typing
@@ -150,6 +151,13 @@ def _write_run_manifest(
         "version": __version__,
         "extra": extra or None,
     })
+
+
+def _threads_extra() -> dict:
+    """The model's worker-thread count and the BLAS thread variables that
+    picked it, for the run manifests of the commands that run the model."""
+    return {"gemm_workers": model.gemm_workers(),
+            "blas_thread_env": {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,7 @@ def cmd_train(args) -> int:
         [Path(args.train_manifest), Path(args.val_manifest)],
         [ckpt_path, history_path], seed=args.seed,
         extra={"freeze": args.freeze, "trainable_parameters": n_trainable,
-               "epochs_run": len(history)},
+               "epochs_run": len(history), **_threads_extra()},
     )
     last = history[-1]
     print(
@@ -352,7 +360,7 @@ def cmd_eval(args) -> int:
     _write_run_manifest(
         out_dir, "eval", _config_digest(model_cfg, train_cfg, feat_cfg),
         [Path(args.checkpoint), Path(args.test_manifest)], outputs, seed=None,
-        extra={"thresholds": thresholds},
+        extra={"thresholds": thresholds, **_threads_extra()},
     )
     return 0
 

@@ -26,12 +26,26 @@ trainer.adam_update) run over BLOCK-element pieces of their arrays (see
 blocks), so a piece stays in cache from one operation to the next. Each
 element sees the same operations in the same order as in a whole-array
 chain, so the bits are identical.
+
+When the BLAS runs one thread and the process may use two or more CPUs (see
+_worker_rule), one worker thread runs whole matrix products beside the
+caller: each linear's and conv's weight gradient while the caller takes the
+input gradient, the attention key projection while the caller takes the
+query and value, and the first half of the heads of the attention core,
+forward and backward, while the caller runs the second half into the same
+preallocated outputs. Each product is the same single-threaded BLAS call
+the caller would make, so every bit is the same with the worker on or off.
+Nothing else runs on it: the public functions, the trainer and Adam stay
+on the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -303,6 +317,74 @@ def trainable_parameter_count(cfg: ModelConfig, freeze: FreezeConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The worker thread
+
+# The variables OpenBLAS takes its thread count from, first match first.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_rule(environ, n_cpus: int) -> bool:
+    """Whether the worker runs: the first BLAS_THREAD_VARS entry set to a
+    positive integer says 1, and n_cpus >= 2. Beside a multi-threaded BLAS
+    a second caller only contends for its threads, so the code runs serially."""
+    for name in BLAS_THREAD_VARS:
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1 and n_cpus >= 2
+    return False
+
+
+_use_worker: bool | None = None  # None until gemm_workers applies _worker_rule
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def gemm_workers() -> int:
+    """How many worker threads run matrix products beside the caller: 0 or 1."""
+    global _use_worker
+    if _use_worker is None:
+        has_affinity = hasattr(os, "sched_getaffinity")
+        n_cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+        _use_worker = _worker_rule(os.environ, n_cpus)
+    return int(_use_worker)
+
+
+def _submit(fn, *args) -> Future:
+    """fn(*args) on the worker if it runs (starting it on first use), else
+    here and now."""
+    global _pool
+    if not gemm_workers():
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="stutterkit-gemm")
+        return _pool.submit(fn, *args)
+
+
+def _forget_pool() -> None:
+    """A forked child has no worker thread: start a new one if it needs one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split_work(fn, n: int) -> None:
+    """fn(slice) over the two halves of range(n): the first on the worker,
+    the second here."""
+    first = _submit(fn, slice(0, n // 2))
+    fn(slice(n // 2, n))
+    first.result()
+
+
+# ---------------------------------------------------------------------------
 # Primitive ops (forward + backward pairs)
 
 # Python floats, not NumPy float64 scalars, which would upcast float32 arrays.
@@ -416,8 +498,8 @@ def _relu_bwd(z, a):
 _ACT = {"gelu": (_gelu_fwd, _gelu_bwd), "relu": (_relu_fwd, _relu_bwd)}
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -435,9 +517,13 @@ def _layer_norm_fwd(x, gamma, beta, eps=LN_EPS):
 
 
 def _layer_norm_bwd(dy, cache, gamma):
+    """(dx, dgamma, dbeta); dx is None, and costs nothing, when gamma is None
+    (an input whose gradient no caller reads)."""
     xhat, inv_std = cache
     dgamma = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
     dbeta = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    if gamma is None:
+        return None, dgamma, dbeta
     dxhat = dy * gamma
     dx = inv_std * (
         dxhat
@@ -452,10 +538,12 @@ def _linear_fwd(x, w, b):
 
 
 def _linear_bwd(dy, x, w, with_bias=True):
-    dw = x.T @ dy
+    """(dx, dw, db) for _linear_fwd, dw on the worker; dx is None, and costs
+    nothing, when w is None (an input whose gradient no caller reads)."""
+    dw = _submit(np.matmul, x.T, dy)
     db = dy.sum(axis=0) if with_bias else None
-    dx = dy @ w.T
-    return dx, dw, db
+    dx = None if w is None else dy @ w.T
+    return dx, dw.result(), db
 
 
 def _conv1d_fwd(x, w, b, stride, padding):
@@ -472,14 +560,13 @@ def _conv1d_fwd(x, w, b, stride, padding):
 
 
 def _conv1d_bwd(dy, cols, x_shape, w, stride, padding):
-    """(dx, dw, db) for _conv1d_fwd. dx is None, and costs nothing, when x_shape
-    is None (an input whose gradient no caller reads); otherwise it comes
-    first, so its patch-gradient temporary is gone before dw is allocated."""
+    """(dx, dw, db) for _conv1d_fwd, dw on the worker. dx is None, and costs
+    nothing, when x_shape is None (an input whose gradient no caller reads)."""
     dy_t = dy.T  # [T_out, C_out]
+    dw = _submit(np.matmul, dy_t.T, cols)
     dx = None if x_shape is None else _conv1d_input_grad(dy_t, x_shape, w, stride, padding)
-    dw = (dy_t.T @ cols).reshape(w.shape)
     db = dy_t.sum(axis=0)
-    return dx, dw, db
+    return dx, dw.result().reshape(w.shape), db
 
 
 def _conv1d_input_grad(dy_t, x_shape, w, stride, padding):
@@ -499,33 +586,44 @@ def _split_heads(x, n_heads):
     return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
-def _merge_heads(x3):
-    h, t, dk = x3.shape
-    return x3.transpose(1, 0, 2).reshape(t, h * dk)
-
-
 def _attention_core_fwd(q, k, v, n_heads):
     """Scaled dot-product attention per head; heads concatenated (no output
-    projection). Each softmax row sums to 1."""
+    projection). Each softmax row sums to 1. Each half of the heads writes
+    its slice of the scores and of the [T x d] output."""
     q3, k3, v3 = (_split_heads(a, n_heads) for a in (q, k, v))
     scale = 1.0 / math.sqrt(q3.shape[-1])
-    probs = softmax(q3 @ k3.transpose(0, 2, 1) * scale, axis=-1)
-    ctx3 = probs @ v3
-    return _merge_heads(ctx3), (q3, k3, v3, probs, scale)
+    probs = np.empty((n_heads, len(q), len(k)), q.dtype)
+    ctx = np.empty_like(q)
+    ctx3 = _split_heads(ctx, n_heads)
+
+    def heads(s):
+        scores = np.matmul(q3[s], k3[s].transpose(0, 2, 1), out=probs[s])
+        scores *= scale
+        np.matmul(softmax(scores, out=scores), v3[s], out=ctx3[s])
+
+    _split_work(heads, n_heads)
+    return ctx, (q3, k3, v3, probs, scale)
 
 
 def _attention_core_bwd(dctx, cache, n_heads):
     q3, k3, v3, probs, scale = cache
     dctx3 = _split_heads(dctx, n_heads)
-    dv3 = probs.transpose(0, 2, 1) @ dctx3
-    dprobs = dctx3 @ v3.transpose(0, 2, 1)
-    dprobs -= np.sum(dprobs * probs, axis=-1, keepdims=True)
-    dscores = np.multiply(dprobs, probs, out=dprobs)
-    dq3 = dscores @ k3
-    dq3 *= scale
-    dk3 = dscores.transpose(0, 2, 1) @ q3
-    dk3 *= scale
-    return _merge_heads(dq3), _merge_heads(dk3), _merge_heads(dv3)
+    dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
+    dq3, dk3, dv3 = (_split_heads(a, n_heads) for a in (dq, dk, dv))
+    dprobs = np.empty_like(probs)
+
+    def heads(s):
+        np.matmul(probs[s].transpose(0, 2, 1), dctx3[s], out=dv3[s])
+        dscores = np.matmul(dctx3[s], v3[s].transpose(0, 2, 1), out=dprobs[s])
+        dscores -= np.sum(dscores * probs[s], axis=-1, keepdims=True)
+        dscores *= probs[s]
+        np.matmul(dscores, k3[s], out=dq3[s])
+        dq3[s] *= scale
+        np.matmul(dscores.transpose(0, 2, 1), q3[s], out=dk3[s])
+        dk3[s] *= scale
+
+    _split_work(heads, n_heads)
+    return dq, dk, dv
 
 
 # ---------------------------------------------------------------------------
@@ -584,26 +682,27 @@ def _layer_tensors(registry: ParameterRegistry, k: int) -> dict[str, np.ndarray]
 
 
 def _attn_sublayer_fwd(x, p, cfg):
+    k = _submit(_linear_fwd, x, p["attn.k.w"], None)
     q = _linear_fwd(x, p["attn.q.w"], p["attn.q.b"])
-    k = _linear_fwd(x, p["attn.k.w"], None)
     v = _linear_fwd(x, p["attn.v.w"], p["attn.v.b"])
-    ctx, core_cache = _attention_core_fwd(q, k, v, cfg.n_heads)
+    ctx, core_cache = _attention_core_fwd(q, k.result(), v, cfg.n_heads)
     out = _linear_fwd(ctx, p["attn.out.w"], p["attn.out.b"])
     return out, (x, ctx, core_cache)
 
 
-def _attn_sublayer_bwd(dout, cache, p, cfg):
+def _attn_sublayer_bwd(dout, cache, p, cfg, need_dx=True):
     x, ctx, core_cache = cache
     dctx, dow, dob = _linear_bwd(dout, ctx, p["attn.out.w"])
     dq, dk, dv = _attention_core_bwd(dctx, core_cache, cfg.n_heads)
-    dx_q, dqw, dqb = _linear_bwd(dq, x, p["attn.q.w"])
-    dx_k, dkw, _ = _linear_bwd(dk, x, p["attn.k.w"], with_bias=False)
-    dx_v, dvw, dvb = _linear_bwd(dv, x, p["attn.v.w"])
+    wq, wk, wv = (p[f"attn.{n}.w"] if need_dx else None for n in "qkv")
+    dx_q, dqw, dqb = _linear_bwd(dq, x, wq)
+    dx_k, dkw, _ = _linear_bwd(dk, x, wk, with_bias=False)
+    dx_v, dvw, dvb = _linear_bwd(dv, x, wv)
     grads = {
         "attn.q.w": dqw, "attn.q.b": dqb, "attn.k.w": dkw,
         "attn.v.w": dvw, "attn.v.b": dvb, "attn.out.w": dow, "attn.out.b": dob,
     }
-    return dx_q + dx_k + dx_v, grads
+    return (dx_q + dx_k + dx_v if need_dx else None), grads
 
 
 def _ffn_sublayer_fwd(x, p, cfg):
@@ -614,13 +713,13 @@ def _ffn_sublayer_fwd(x, p, cfg):
     return out, (x, z1, s)
 
 
-def _ffn_sublayer_bwd(dout, cache, p, cfg):
+def _ffn_sublayer_bwd(dout, cache, p, cfg, need_dx=True):
     x, z1, s = cache
     _, act_bwd = _ACT[cfg.ffn_activation]
     a, act_grad = act_bwd(z1, s)
     da, dw2, db2 = _linear_bwd(dout, a, p["ffn.w2"])
     dz1 = da * act_grad
-    dx, dw1, db1 = _linear_bwd(dz1, x, p["ffn.w1"])
+    dx, dw1, db1 = _linear_bwd(dz1, x, p["ffn.w1"] if need_dx else None)
     return dx, {"ffn.w1": dw1, "ffn.b1": db1, "ffn.w2": dw2, "ffn.b2": db2}
 
 
@@ -662,20 +761,26 @@ def _encoder_layer_fwd(x, p, cfg):
     return x, caches
 
 
-def _encoder_layer_bwd(dz, cache, p, cfg):
+def _encoder_layer_bwd(dz, cache, p, cfg, need_dx=True):
+    """(input gradient, parameter gradients). Without need_dx the input
+    gradient is None and the steps that only it reads are skipped: the
+    first block's residual sum and, under pre-norm, its norm's input
+    gradient or, under post-norm, its sublayer's (pre-norm's sublayer input
+    gradient is what the norm's gamma and beta gradients read)."""
     pre = cfg.norm_placement == "pre"
     grads: dict[str, np.ndarray] = {}
-    for (norm, _, sub_bwd, _), (ln, sub_cache) in zip(_BLOCKS[::-1], cache[::-1]):
+    for i, ((norm, _, sub_bwd, _), (ln, sub_cache)) in enumerate(zip(_BLOCKS[::-1], cache[::-1])):
         gamma = p[f"{norm}.gamma"]
+        dx_read = need_dx or i < len(_BLOCKS) - 1  # the first block's input is the layer's
         if not pre:
             dz, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(dz, ln, gamma)
-        d_sub_in, g = sub_bwd(dz, sub_cache, p, cfg)
+        d_sub_in, g = sub_bwd(dz, sub_cache, p, cfg, pre or dx_read)
         grads.update(g)
         if pre:
             d_sub_in, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(
-                d_sub_in, ln, gamma
+                d_sub_in, ln, gamma if dx_read else None
             )
-        dz = dz + d_sub_in
+        dz = dz + d_sub_in if dx_read else None
     return dz, grads
 
 
@@ -785,11 +890,17 @@ def backward_pass(dlogits, cache, registry, cfg):
     grads["projector.b"] = du
     dpooled = registry["projector.w"] @ du
     dg = np.tile(dpooled / n_pos, (n_pos, 1))
-    dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, registry["post_encoder_layernorm.gamma"])
+    # The input gradient of layer k (the head's is k = n_layers) is read from
+    # k = lowest up: the first cached layer's only by a stem cache.
+    lowest = cfg.n_layers - len(layer_caches) + (stem_cache is None)
+    gamma = registry["post_encoder_layernorm.gamma"] if lowest <= cfg.n_layers else None
+    dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, gamma)
     grads["post_encoder_layernorm.gamma"] = dgam
     grads["post_encoder_layernorm.beta"] = dbet
     for k, layer_cache in zip(range(cfg.n_layers - 1, -1, -1), layer_caches[::-1]):
-        dh, layer_grads = _encoder_layer_bwd(dh, layer_cache, _layer_tensors(registry, k), cfg)
+        dh, layer_grads = _encoder_layer_bwd(
+            dh, layer_cache, _layer_tensors(registry, k), cfg, need_dx=k >= lowest
+        )
         grads.update({f"layers.{k}.{key}": val for key, val in layer_grads.items()})
     if stem_cache is not None:
         dpos = np.zeros_like(registry["embed_positions"])

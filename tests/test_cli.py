@@ -413,6 +413,13 @@ def test_train_artifacts_and_log(pipeline, capsys):
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["freeze"] == "Frz0-1+FrzFE"
     assert manifest["extra"]["trainable_parameters"] == 314  # head only at this width
+    _assert_records_threads(manifest)
+
+
+def _assert_records_threads(manifest):
+    assert manifest["extra"]["gemm_workers"] == model.gemm_workers()
+    assert manifest["extra"]["blas_thread_env"] == {
+        name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}
 
 
 def test_train_prints_trainable_count(pipeline, tmp_path, capsys):
@@ -672,6 +679,7 @@ def test_eval_threshold_defaults_to_the_config_threshold(pipeline, tmp_path):
     assert json.loads((eval_dir / "eval_t0.3.json").read_text())["threshold"] == 0.3
     manifest = json.loads((eval_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["thresholds"] == [0.3]
+    _assert_records_threads(manifest)
 
 
 @pytest.mark.parametrize("threshold", ["nan", "2", "-1"])
@@ -912,3 +920,18 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    """The model's worker thread starts on its first product, not at import,
+    so a command that runs no model (and the import every command pays)
+    starts none; the import runs with the worker rule on."""
+    package_root = str(Path(stutterkit.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import threading; before = threading.active_count(); import stutterkit.cli; "
+            "print(before, threading.active_count())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, after = out.split()
+    assert after == before

@@ -4,8 +4,11 @@ freezing, and checkpoint serialization."""
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -59,12 +62,15 @@ from stutterkit.model import (
     trainable_parameter_count,
 )
 from stutterkit.model import (
+    BLAS_THREAD_VARS,
     BLOCK,
     _attention_core_fwd,
     _conv1d_fwd,
     _ffn_sublayer_fwd,
     _gelu_fwd,
     _layer_norm_fwd,
+    _linear_bwd,
+    _worker_rule,
     blocks,
 )
 
@@ -854,6 +860,37 @@ def test_a_cache_from_a_layer_input_holds_no_stem():
 
 
 @pytest.mark.parametrize("placement", ["pre", "post"])
+def test_backward_takes_only_the_input_gradients_a_gradient_reads(placement, monkeypatch):
+    """Counted, not timed: from a spectrogram every layer's input gradient is
+    taken. From layer k's input, layer k's is not, and neither is the head's
+    when no layer ran: the first layer skips its q/k/v input-gradient products
+    under post-norm and its attention norm's input gradient under pre-norm
+    (where the q/k/v ones feed that norm's gamma and beta)."""
+    cfg = tiny_model_config(n_layers=3, norm_placement=placement)
+    reg = build_registry(cfg, seed=52)
+    x = np.random.default_rng(53).uniform(-1, 1, size=(cfg.n_mels, 8))
+    taken = {"_linear_bwd": 0, "_layer_norm_bwd": 0}
+    for name in taken:
+        def counted(dy, cache_or_x, w_or_gamma, *rest, _name=name, _fn=getattr(model_mod, name),
+                    **kw):
+            taken[_name] += w_or_gamma is not None  # None: no input gradient
+            return _fn(dy, cache_or_x, w_or_gamma, *rest, **kw)
+        monkeypatch.setattr(model_mod, name, counted)
+    pre = placement == "pre"
+    for k in [None, *range(cfg.n_layers + 1)]:
+        taken.update(dict.fromkeys(taken, 0))
+        if k is None:
+            _, cache = forward_with_cache(x, reg, cfg)
+            backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
+            want = (6 * cfg.n_layers, 2 * cfg.n_layers + 1)
+        else:
+            _grads_from_layer(x, reg, cfg, k)
+            n = cfg.n_layers - k
+            want = (6 * n - 3 * (not pre), 2 * n + (not pre)) if n else (0, 0)
+        assert (taken["_linear_bwd"], taken["_layer_norm_bwd"]) == want, k
+
+
+@pytest.mark.parametrize("placement", ["pre", "post"])
 def test_backward_from_a_layer_cache_matches_finite_differences(placement):
     """Under Frz0-0+FrzFE the trainable tensors are exactly those a layer-1
     cache holds; central differences (h=1e-3) agree to 1e-4 in float64."""
@@ -1131,3 +1168,115 @@ def test_paper_scale_forward_after_load_checkpoint_reuses_its_pages(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT, str(path)],
                           env=env, capture_output=True, text=True, check=True)
     assert int(proc.stdout) <= 25_144 // 2
+
+
+# ---------------------------------------------------------------------------
+# The worker thread
+
+
+def _set_worker(monkeypatch, on):
+    """Force the worker on or off; the test's pool goes when the test ends."""
+    monkeypatch.setattr(model_mod, "_use_worker", on)
+    monkeypatch.setattr(model_mod, "_pool", None)
+
+
+def _fwd_bwd(x, reg, cfg):
+    logits, cache = forward_with_cache(x, reg, cfg)
+    return [logits, forward(x, reg, cfg), forward(forward_prefix(x, reg, cfg, 1), reg, cfg),
+            backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)]
+
+
+def _assert_same_bits(a, b):
+    *logits_a, grads_a = a
+    *logits_b, grads_b = b
+    assert all(np.array_equal(u, v) for u, v in zip(logits_a, logits_b, strict=True))
+    assert set(grads_a) == set(grads_b)
+    assert all(np.array_equal(grads_a[name], grads_b[name]) for name in grads_a), [
+        name for name in grads_a if not np.array_equal(grads_a[name], grads_b[name])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("placement", ["pre", "post"])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_worker_on_and_off_give_the_same_bits(placement, activation, dtype, monkeypatch):
+    cfg = tiny_model_config(n_heads=4, norm_placement=placement, ffn_activation=activation)
+    reg = build_registry(cfg, seed=54, dtype=dtype)
+    x = np.random.default_rng(55).uniform(-1, 1, size=(cfg.n_mels, 8))
+    runs = []
+    for on in (False, True):
+        _set_worker(monkeypatch, on)
+        runs.append(_fwd_bwd(x, reg, cfg))
+    assert model_mod._pool is not None  # the worker did run
+    _assert_same_bits(*runs)
+
+
+def test_paper_scale_worker_on_and_off_give_the_same_bits(monkeypatch):
+    """UnFrz0-5: every tensor trains, so every product of the backward runs."""
+    cfg = ModelConfig()
+    reg = apply_freeze(build_registry(cfg, seed=56), parse_freeze_spec("UnFrz0-5"))
+    x = np.random.default_rng(57).uniform(-1, 1, size=(cfg.n_mels, 600)).astype(np.float32)
+    runs = []
+    for on in (False, True):
+        _set_worker(monkeypatch, on)
+        runs.append(_fwd_bwd(x, reg, cfg))
+    _assert_same_bits(*runs)
+
+
+@pytest.mark.parametrize("env, cpus, on", [
+    ({}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, True),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 1, False),
+    # OpenBLAS skips a count that is not a positive integer
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, False),
+])
+def test_worker_rule(env, cpus, on, monkeypatch):
+    """The rule, and gemm_workers applying it to this process's environment
+    and CPU set: when it says no, a backward product starts no thread."""
+    assert _worker_rule(env, cpus) is on
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _set_worker(monkeypatch, None)
+    threads = set(threading.enumerate())
+    rng = np.random.default_rng(58)
+    dy, x, w = (rng.standard_normal(shape) for shape in ((5, 3), (5, 4), (4, 3)))
+    _linear_bwd(dy, x, w)
+    assert model_mod.gemm_workers() == on
+    if not on:
+        assert set(threading.enumerate()) <= threads and model_mod._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    """The parent's worker thread does not exist in a forked child, whose
+    products must not wait on it. Budget 60 s."""
+    _set_worker(monkeypatch, True)
+    rng = np.random.default_rng(59)
+    dy, x, w = (rng.standard_normal(shape) for shape in ((50, 30), (50, 40), (40, 30)))
+    want = _linear_bwd(dy, x, w)
+    assert model_mod._pool is not None
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its exit status
+        ok = False
+        try:
+            ok = all(np.array_equal(a, b) for a, b in zip(_linear_bwd(dy, x, w), want))
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on its parent's worker")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
