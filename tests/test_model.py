@@ -187,8 +187,9 @@ def test_attention_identical_keys_average_values():
     q = rng.normal(size=(t, 8))
     k = np.tile(rng.normal(size=(1, 8)), (t, 1))
     v = rng.normal(size=(t, 8))
-    core = _attention_core_fwd(q, k, v, 2)[0]
-    assert np.allclose(core, np.tile(v.mean(axis=0), (t, 1)), atol=1e-12)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        core = _attention_core_fwd(layout(q), layout(k), layout(v), 2)[0]
+        assert np.allclose(core, np.tile(v.mean(axis=0), (t, 1)), atol=1e-12)
 
 
 def test_attention_hand_case_two_by_two():
