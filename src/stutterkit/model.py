@@ -41,11 +41,12 @@ on the caller's thread.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -343,7 +344,8 @@ _pool_lock = threading.Lock()
 
 
 def gemm_workers() -> int:
-    """How many worker threads run matrix products beside the caller: 0 or 1."""
+    """How many worker threads run matrix products beside the caller, 0 or
+    1; _worker_rule decides on the first call."""
     global _use_worker
     if _use_worker is None:
         has_affinity = hasattr(os, "sched_getaffinity")
@@ -352,25 +354,35 @@ def gemm_workers() -> int:
     return int(_use_worker)
 
 
-def _submit(fn, *args, **kwargs) -> Future:
-    """fn(*args, **kwargs) on the worker if it runs (starting it on first
-    use), else here and now. fn writes into arrays the caller allocated and
-    allocates no large one itself: glibc gives the worker thread its own heap
-    arena, whose freed memory only the worker reuses. Letting it allocate
-    its products raised one benchmark workload's peak RSS by 59 MB (16%)."""
-    global _pool
-    if not gemm_workers():
-        done = Future()
-        done.set_result(fn(*args, **kwargs))
-        return done
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="stutterkit-gemm")
-        return _pool.submit(fn, *args, **kwargs)
+class _Task:
+    """fn(*args, **kwargs), queued on the worker if it runs (starting it on
+    first use). wait() returns its value, running it here if the worker has
+    not started it, so a busy or unscheduled worker holds nothing up.
+
+    fn writes into arrays the caller allocated and allocates no large one
+    itself: glibc gives the worker thread its own heap arena, whose freed
+    memory only the worker reuses. Letting it allocate its products raised
+    one benchmark workload's peak RSS by 59 MB (16%)."""
+
+    def __init__(self, fn, *args, **kwargs):
+        global _pool
+        self.call = functools.partial(fn, *args, **kwargs)
+        self.future = None
+        if gemm_workers():
+            with _pool_lock:
+                if _pool is None:
+                    _pool = ThreadPoolExecutor(1, thread_name_prefix="stutterkit-gemm")
+                self.future = _pool.submit(self.call)
+
+    def wait(self):
+        if self.future is None or self.future.cancel():
+            return self.call()
+        return self.future.result()
 
 
 def _forget_pool() -> None:
-    """A forked child has no worker thread: start a new one if it needs one."""
+    """A forked child has no worker thread: it starts its own on first use,
+    with a fresh lock in case the fork came while another thread held it."""
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
@@ -382,9 +394,9 @@ if hasattr(os, "register_at_fork"):
 def _split_work(fn, n: int) -> None:
     """fn(slice) over the two halves of range(n): the first on the worker,
     the second here."""
-    first = _submit(fn, slice(0, n // 2))
+    first = _Task(fn, slice(0, n // 2))
     fn(slice(n // 2, n))
-    first.result()
+    first.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +557,10 @@ def _linear_bwd(dy, x, w, with_bias=True):
     """(dx, dw, db) for _linear_fwd, dw on the worker; dx is None, and costs
     nothing, when w is None (an input whose gradient no caller reads)."""
     dw = np.empty((x.shape[1], dy.shape[1]), np.result_type(x, dy))
-    dw_done = _submit(np.matmul, x.T, dy, out=dw)
+    dw_done = _Task(np.matmul, x.T, dy, out=dw)
     db = dy.sum(axis=0) if with_bias else None
     dx = None if w is None else dy @ w.T
-    dw_done.result()
+    dw_done.wait()
     return dx, dw, db
 
 
@@ -570,10 +582,10 @@ def _conv1d_bwd(dy, cols, x_shape, w, stride, padding):
     nothing, when x_shape is None (an input whose gradient no caller reads)."""
     dy_t = dy.T  # [T_out, C_out]
     dw = np.empty(w.shape, np.result_type(dy, cols))
-    dw_done = _submit(np.matmul, dy, cols, out=dw.reshape(len(w), -1))
+    dw_done = _Task(np.matmul, dy, cols, out=dw.reshape(len(w), -1))
     dx = None if x_shape is None else _conv1d_input_grad(dy_t, x_shape, w, stride, padding)
     db = dy_t.sum(axis=0)
-    dw_done.result()
+    dw_done.wait()
     return dx, dw, db
 
 
@@ -691,10 +703,10 @@ def _layer_tensors(registry: ParameterRegistry, k: int) -> dict[str, np.ndarray]
 
 def _attn_sublayer_fwd(x, p, cfg):
     k = np.empty((len(x), p["attn.k.w"].shape[1]), np.result_type(x, p["attn.k.w"]))
-    k_done = _submit(_linear_fwd, x, p["attn.k.w"], None, out=k)
+    k_done = _Task(_linear_fwd, x, p["attn.k.w"], None, out=k)
     q = _linear_fwd(x, p["attn.q.w"], p["attn.q.b"])
     v = _linear_fwd(x, p["attn.v.w"], p["attn.v.b"])
-    k_done.result()
+    k_done.wait()
     ctx, core_cache = _attention_core_fwd(q, k, v, cfg.n_heads)
     out = _linear_fwd(ctx, p["attn.out.w"], p["attn.out.b"])
     return out, (x, ctx, core_cache)

@@ -1257,10 +1257,22 @@ def test_worker_rule(env, cpus, on, monkeypatch):
         assert set(threading.enumerate()) <= threads and model_mod._pool is None
 
 
+def test_a_product_the_worker_has_not_started_runs_on_the_caller(monkeypatch):
+    """A busy or unscheduled worker does not stall the caller."""
+    _set_worker(monkeypatch, True)
+    release = threading.Event()
+    busy = model_mod._Task(release.wait, 30)
+    try:
+        assert model_mod._Task(threading.get_ident).wait() == threading.get_ident()
+    finally:
+        release.set()
+    assert busy.wait() is True
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
-    """The parent's worker thread does not exist in a forked child, whose
-    products must not wait on it. Budget 60 s."""
+    """The parent's worker thread does not exist in a forked child: the
+    child's products run on a worker of its own. Budget 60 s."""
     _set_worker(monkeypatch, True)
     rng = np.random.default_rng(59)
     dy, x, w = (rng.standard_normal(shape) for shape in ((50, 30), (50, 40), (40, 30)))
@@ -1270,7 +1282,9 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
     if pid == 0:  # pragma: no cover - the child reports through its exit status
         ok = False
         try:
-            ok = all(np.array_equal(a, b) for a, b in zip(_linear_bwd(dy, x, w), want))
+            ran_on = model_mod._Task(threading.get_ident).future.result(timeout=30)
+            ok = ran_on != threading.get_ident() and all(
+                np.array_equal(a, b) for a, b in zip(_linear_bwd(dy, x, w), want))
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60.0
