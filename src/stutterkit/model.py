@@ -46,7 +46,6 @@ import math
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -339,7 +338,7 @@ def _worker_rule(environ, n_cpus: int) -> bool:
 
 
 _use_worker: bool | None = None  # None until gemm_workers applies _worker_rule
-_pool: ThreadPoolExecutor | None = None
+_pool = None  # the worker's ThreadPoolExecutor, started by the first _Task that needs it
 _pool_lock = threading.Lock()
 
 
@@ -371,6 +370,9 @@ class _Task:
         if gemm_workers():
             with _pool_lock:
                 if _pool is None:
+                    # imported here, so importing the model (every command's setup) pays nothing
+                    from concurrent.futures import ThreadPoolExecutor
+
                     _pool = ThreadPoolExecutor(1, thread_name_prefix="stutterkit-gemm")
                 self.future = _pool.submit(self.call)
 
@@ -796,7 +798,7 @@ def _encoder_layer_bwd(dz, cache, p, cfg, need_dx=True):
         dx_read = need_dx or i < len(_BLOCKS) - 1  # the first block's input is the layer's
         if not pre:
             dz, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(dz, ln, gamma)
-        d_sub_in, g = sub_bwd(dz, sub_cache, p, cfg, pre or dx_read)
+        d_sub_in, g = sub_bwd(dz, sub_cache, p, cfg, need_dx=pre or dx_read)
         grads.update(g)
         if pre:
             d_sub_in, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(

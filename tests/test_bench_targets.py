@@ -79,7 +79,7 @@ def test_the_benchmark_tracer_nests_with_the_worker_on(monkeypatch, tmp_path):
                    "--config", str(cfg_path), "--freeze", "UnFrz0-1", "--seed", "1"])
     tracer.close(root)
     assert rc == 0 and tracer.missing == []
-    assert model._pool is not None  # the worker did run
+    assert model._pool is not None  # the worker started
     names = {s["name"] for s in tracer.spans}
     assert {"model.forward_with_cache", "model.backward_pass", "trainer.evaluate_split"} <= names
     assert spans.check_nesting(tracer.spans, spans.self_times(tracer.spans)) == []

@@ -923,15 +923,15 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_starts_no_thread():
-    """The model's worker thread starts on its first product, not at import,
-    so a command that runs no model (and the import every command pays)
-    starts none; the import runs with the worker rule on."""
+    """The model's worker thread, and the executor module it comes from, are
+    loaded on its first product, not at import: the import every command
+    pays starts no thread. The import runs with the worker rule on."""
     package_root = str(Path(stutterkit.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-    code = ("import threading; before = threading.active_count(); import stutterkit.cli; "
-            "print(before, threading.active_count())")
+    code = ("import sys, threading; before = threading.active_count(); import stutterkit.cli; "
+            "print(before, threading.active_count(), 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    before, after = out.split()
-    assert after == before
+    before, after, executor_loaded = out.split()
+    assert after == before and executor_loaded == "False"

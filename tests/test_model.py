@@ -1207,7 +1207,7 @@ def test_worker_on_and_off_give_the_same_bits(placement, activation, dtype, monk
     for on in (False, True):
         _set_worker(monkeypatch, on)
         runs.append(_fwd_bwd(x, reg, cfg))
-    assert model_mod._pool is not None  # the worker did run
+    assert model_mod._pool is not None  # the worker started
     _assert_same_bits(*runs)
 
 
