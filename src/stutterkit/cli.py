@@ -341,7 +341,7 @@ def cmd_eval(args) -> int:
     examples = _load_examples(args.test_manifest, feat_cfg)
     if not examples:
         raise UsageError(f"empty test manifest {args.test_manifest}")
-    logits_list = [model.forward(values, registry, model_cfg) for values, _ in examples]
+    logits_list = [z for z, _ in trainer.forward_split(examples, registry, model_cfg)]
     targets = [row["labels"] for row in examples.rows]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,6 +397,13 @@ def cmd_params(args) -> int:
 # Parser / entry point
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's seeding requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stutterkit",
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, choices=sorted(curation.PLANS))
     p.add_argument("--groups", required=True,
                    help="JSON file mapping speaker group name to speaker ids")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("train", help="fine-tune on curated splits")
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--freeze", default="UnFrz0-5", help=model.FREEZE_GRAMMAR)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a test manifest")

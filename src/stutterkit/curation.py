@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -320,14 +321,21 @@ def _csv_rows(path: str | Path, kind: str, fields: list[str]):
             raise ValueError(f"{kind} {path}: not UTF-8: {e}") from None
 
 
+# The ids for which audio/<left>__<right>.wav names one pair, inside audio/.
+_CLIP_ID = re.compile(r"[^_/\\]+(?:_[^_/\\]+)*")
+
+
 def read_inventory(path: str | Path) -> list[ClipRecord]:
     """Parse the annotated-clip CSV (see INVENTORY_FIELDS for the header).
-    Raises ValueError, naming the line, on malformed input or a repeated
-    clip id."""
+    Raises ValueError, naming the line, on malformed input, a repeated clip
+    id, or one that is empty, holds "/", "\\" or "__", or starts or ends
+    with "_"."""
     records = []
     first_line: dict[str, int] = {}
     for line, row in _csv_rows(path, "inventory", INVENTORY_FIELDS):
         try:
+            if not _CLIP_ID.fullmatch(row["clip_id"]):
+                raise ValueError(f"clip id {row['clip_id']!r} cannot name a pair file")
             votes = {l: int(row[f"votes_{l}"]) for l in LABELS}
             cell = row["votes_other_json"].strip()
             if cell:  # an empty cell means {}; most rows have one, so skip the parse

@@ -981,10 +981,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     The blob is each tensor's float32 bytes back to back in layout order.
     Raises CorruptCheckpoint if the header is not the JSON object
     save_checkpoint writes (config and tensor descriptors), if the config is
-    not exactly a valid ModelConfig, or if the blob is truncated, holds a NaN
-    or infinity, or has bytes after its last tensor; ShapeMismatch unless the
-    stored tensor names and shapes are exactly those of the config's layout,
-    in its order."""
+    not exactly a valid ModelConfig, if the blob's size is not the layout's
+    (checked before any tensor is allocated), or if it holds a NaN or
+    infinity; ShapeMismatch unless the stored tensor names and shapes are
+    exactly those of the config's layout, in its order."""
     with open(path, "rb") as f:
         manifest = read_header(f, f"checkpoint {path}", CorruptCheckpoint, ("config", "tensors"))
         if not isinstance(manifest["tensors"], list):
@@ -995,6 +995,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
         specs = param_specs(cfg)
         _check_layout([(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]],
                       cfg, f"checkpoint {path}")
+        blob_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        layout_bytes = 4 * sum(math.prod(shape) for _, shape, _ in specs)
+        if blob_bytes != layout_bytes:
+            raise CorruptCheckpoint(f"checkpoint {path}: {blob_bytes} blob bytes, not {layout_bytes}")
         reg = ParameterRegistry()
         for (name, shape, group), desc in zip(specs, manifest["tensors"]):
             value = np.empty(shape, dtype="<f4")
@@ -1003,6 +1007,4 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
             if not np.isfinite(value).all():
                 raise CorruptCheckpoint(f"checkpoint {path}: non-finite value in {name!r}")
             reg.add(name, value, group, desc["trainable"])
-        if f.read(1):
-            raise CorruptCheckpoint(f"checkpoint {path}: bytes after the last tensor")
     return reg, cfg

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,6 +170,20 @@ def train_step(
     return loss
 
 
+def forward_split(
+    examples: Iterable[tuple], registry: ParameterRegistry, model_cfg: ModelConfig,
+    stop: int | None = None,
+) -> list[tuple[np.ndarray | model.LayerInput, np.ndarray]]:
+    """[(output, bits), ...] in example order: each input's logits, or with
+    `stop` its model.LayerInput to encoder layer `stop`. Iterates `examples`
+    once and holds one clip's activations at a time."""
+    return [
+        (model.forward(values, registry, model_cfg) if stop is None
+         else model.forward_prefix(values, registry, model_cfg, stop), bits)
+        for values, bits in examples
+    ]
+
+
 def evaluate_split(
     examples: Sequence[tuple[np.ndarray | model.LayerInput, np.ndarray]],
     registry: ParameterRegistry,
@@ -180,17 +194,11 @@ def evaluate_split(
     model.LayerInput outputs of the registry's frozen prefix."""
     if not examples:
         raise EmptyDataset("validation split is empty")
-    losses = []
-    preds = []
-    targets = []
-    for values, bits in examples:
-        logits = model.forward(values, registry, model_cfg)
-        y = np.asarray(bits, dtype=np.float64)
-        losses.append(bce_with_logits(logits, y))
-        preds.append(predict(logits, threshold))
-        targets.append(tuple(int(b) for b in bits))
-    report = f1_report(preds, targets, threshold=threshold)
-    return float(np.mean(losses)), report
+    scored = forward_split(examples, registry, model_cfg)
+    loss = float(np.mean([bce_with_logits(logits, bits) for logits, bits in scored]))
+    preds = [predict(logits, threshold) for logits, _ in scored]
+    targets = [tuple(int(b) for b in bits) for _, bits in scored]
+    return loss, f1_report(preds, targets, threshold=threshold)
 
 
 def fit(
@@ -231,10 +239,7 @@ def fit(
         raise EmptyDataset("validation split is empty")
     depth = model.frozen_prefix_depth(registry, model_cfg)
     if depth is not None:
-        val_examples = [
-            (model.forward_prefix(values, registry, model_cfg, depth), bits)
-            for values, bits in val_examples
-        ]
+        val_examples = forward_split(val_examples, registry, model_cfg, depth)
     trainable = [name for name, e in registry.items() if e.trainable]
     state = TrainState()
     rng = np.random.default_rng(seed)

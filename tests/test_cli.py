@@ -568,6 +568,31 @@ def test_eval_featurizes_each_clip_once(pipeline, tmp_path, monkeypatch):
     assert sum(calls.values()) == 5
 
 
+def test_eval_and_a_frozen_prefix_train_score_through_forward_split(pipeline, tmp_path,
+                                                                     monkeypatch):
+    _, data_dir, cfg_path, run_dir = pipeline
+    stops = []
+    real = trainer.forward_split
+
+    def counting(examples, registry, model_cfg, stop=None):
+        stops.append(stop)
+        return real(examples, registry, model_cfg, stop)
+
+    monkeypatch.setattr(trainer, "forward_split", counting)
+    rc = main(["train", str(data_dir / "train" / "manifest.csv"),
+               str(data_dir / "val" / "manifest.csv"), str(tmp_path / "run"),
+               "--config", str(cfg_path), "--freeze", "Frz0-0+FrzFE"])
+    assert rc == 0
+    epochs = len((tmp_path / "run" / "history.jsonl").read_text().splitlines())
+    # the pass through the frozen stem and layer 0, then one scoring pass per epoch
+    assert stops == [1] + [None] * epochs
+    stops.clear()
+    rc = main(["eval", str(run_dir / "checkpoint.bin"), str(data_dir / "test" / "manifest.csv"),
+               str(tmp_path / "eval"), "--config", str(cfg_path)])
+    assert rc == 0
+    assert stops == [None]
+
+
 def _truncate(wav) -> None:
     wav.write_bytes(wav.read_bytes()[:-100])
 
@@ -697,6 +722,25 @@ def test_eval_rejects_thresholds_outside_unit_interval(pipeline, tmp_path, capsy
 
 def _fail_if_called(*args, **kwargs):
     pytest.fail("read before the usage check ran")
+
+
+@pytest.mark.parametrize("command", ["curate", "train"])
+def test_negative_seed_is_usage_error_before_any_wav_is_read(
+    pipeline, tmp_path, capsys, monkeypatch, command
+):
+    root, data_dir, cfg_path, _ = pipeline
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    args = {
+        "curate": [str(root / "inventory.csv"), str(root / "audio"), str(tmp_path / "out"),
+                   "--plan", "SEP-28k-E", "--groups", str(root / "groups.json")],
+        "train": [str(data_dir / "train" / "manifest.csv"), str(data_dir / "val" / "manifest.csv"),
+                  str(tmp_path / "out"), "--config", str(cfg_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("pair", [("0.5", "0.50"), ("0.3", "0.30000001")])

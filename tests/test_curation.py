@@ -490,7 +490,10 @@ def test_read_inventory_rejects_malformed_rows(tmp_path):
     for bad_row in (
         good[:-3], [*good[:-1], '["Music"]'], [*good[:-1], '{"Music": null}'],
         [*good[:-1], '{"Music": "x"}'], [*good[:3], "abc", *good[4:]],
-        [*good[:4], "1.0", *good[5:]], [*good[:block], "x", *good[block + 1:]], repeat,
+        [*good[:4], "1.0", *good[5:]], [*good[:block], "x", *good[block + 1:]],
+        # clip ids that would make audio/<left>__<right>.wav ambiguous or leave audio/
+        *([bad_id, *good[1:]] for bad_id in ("", "a__b", "_a", "a_", "a/b", "/abs", "a\\b")),
+        repeat,
     ):
         write_inventory_csv(path, [good, bad_row])
         with pytest.raises(ValueError, match="line 3"):

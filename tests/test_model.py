@@ -735,10 +735,16 @@ def test_checkpoint_rejects_tensors_outside_config_layout(tmp_path, edit):
                                                    attention_key_bias=False))), blob),
         # a NaN in the last tensor (classifier.b)
         lambda m, blob: (json_bytes(m), blob[:-4] + np.float32(np.nan).tobytes()),
+        # a consistent header declaring 32 GB of positions over the same small blob
+        lambda m, blob: (json_bytes(dict(
+            m, config=dict(m["config"], max_positions=10**9),
+            tensors=[dict(t, shape=[10**9, t["shape"][1]]) if t["name"] == "embed_positions"
+                     else t for t in m["tensors"]])), blob),
     ],
     ids=["not-json", "not-object", "no-config", "no-tensors", "unknown-config-key",
          "missing-config-key", "mistyped-config-value", "invalid-config", "bad-descriptor",
-         "trailing-bytes", "truncated", "n-classes-and-key-bias-keys", "non-finite-value"],
+         "trailing-bytes", "truncated", "n-classes-and-key-bias-keys", "non-finite-value",
+         "header-larger-than-file"],
 )
 def test_checkpoint_rejects_corrupt_file(tmp_path, corrupt):
     cfg = tiny_model_config(norm_placement="post")

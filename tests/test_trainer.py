@@ -40,6 +40,7 @@ from stutterkit.trainer import (
     bce_with_logits_grad,
     evaluate_split,
     fit,
+    forward_split,
     train_step,
     write_history,
 )
@@ -361,6 +362,20 @@ def test_evaluate_split_counts_examples():
     assert report.threshold == 0.5
 
 
+def test_forward_split_resumed_from_any_layer_equals_the_full_pass():
+    reg = build_registry(TINY, seed=42)
+    exs = _examples(3, seed=43)
+    full = forward_split(exs, reg, TINY)
+    for k in range(TINY.n_layers + 1):
+        prefix = forward_split(exs, reg, TINY, k)
+        assert [out.layer for out, _ in prefix] == [k] * len(exs)
+        resumed = forward_split(prefix, reg, TINY)
+        assert len(resumed) == len(exs)
+        for (logits, bits), (want, _), (_, y) in zip(resumed, full, exs):
+            assert bits is y
+            assert logits.dtype == want.dtype and logits.tobytes() == want.tobytes(), k
+
+
 # ---------------------------------------------------------------------------
 # memory: one example's forward cache alive at a time
 
@@ -381,7 +396,8 @@ def _traced(fn):
 @pytest.mark.parametrize("run", [
     lambda exs, reg: backward(exs, reg, WIDE_T),
     lambda exs, reg: evaluate_split(exs, reg, WIDE_T, threshold=0.5),
-], ids=["backward", "evaluate_split"])
+    lambda exs, reg: forward_split(exs, reg, WIDE_T),
+], ids=["backward", "evaluate_split", "forward_split"])
 def test_one_forward_cache_alive_at_a_time(run):
     reg = build_registry(WIDE_T, seed=40)
     exs = _examples(3, cfg=WIDE_T, seed=41, t=256)
