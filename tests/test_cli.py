@@ -568,8 +568,9 @@ def test_eval_featurizes_each_clip_once(pipeline, tmp_path, monkeypatch):
     assert sum(calls.values()) == 5
 
 
-def test_eval_and_a_frozen_prefix_train_score_through_forward_split(pipeline, tmp_path,
-                                                                     monkeypatch):
+def test_eval_and_a_frozen_prefix_train_score_through_forward_split(
+    pipeline, tmp_path, monkeypatch
+):
     _, data_dir, cfg_path, run_dir = pipeline
     stops = []
     real = trainer.forward_split
