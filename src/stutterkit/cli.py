@@ -166,6 +166,7 @@ def _threads_extra() -> dict:
 
 def cmd_featurize(args) -> int:
     model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
+    _check_frame_count(feat_cfg, model_cfg)
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
     wavs = sorted(in_dir.glob("*.wav"))
@@ -278,7 +279,9 @@ def _check_frame_count(feat_cfg, model_cfg) -> None:
     try:
         model.check_frame_count(feat_cfg.chunk_frames, model_cfg)
     except model.ShapeMismatch as e:
-        raise UsageError(f"{feat_cfg.chunk_frames}-frame clips: {e}") from e
+        raise UsageError(
+            f"chunk_length_s={feat_cfg.chunk_length_s:g} makes {feat_cfg.chunk_frames}-frame clips: {e}"
+        ) from e
 
 
 def cmd_train(args) -> int:

@@ -85,8 +85,8 @@ class FeaturizerConfig:
     chunk_length_s: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.n_mels < 1:
-            raise ConfigMismatch("n_mels must be >= 1")
+        if not 1 <= self.n_mels <= N_FFT // 2 + 1:
+            raise ConfigMismatch(f"n_mels must be in 1..{N_FFT // 2 + 1}, the FFT's bins")
         if not 0 < self.chunk_length_s * SAMPLE_RATE < math.inf:
             raise ConfigMismatch("chunk_length_s must be positive with a finite sample count")
         if self.chunk_samples % HOP:

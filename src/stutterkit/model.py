@@ -19,24 +19,26 @@ so a saved model is bit-for-bit the one that was trained and validated; the
 oracle tests build float64 registries.
 
 Elementwise steps write into the buffer that holds their result: softmax,
-the residual adds, and layer norm's centring and scaling. The bias add is
-the exception: done in place it raised train's peak RSS, so x @ w + b still
-makes one temporary. The elementwise chains (GELU, its derivative,
-trainer.adam_update) run over BLOCK-element pieces of their arrays (see
-blocks), so a piece stays in cache from one operation to the next. Each
-element sees the same operations in the same order as in a whole-array
-chain, so the bits are identical.
+the residual adds, layer norm's centring and scaling, and the linear bias
+add. The elementwise chains (GELU, its derivative, trainer.adam_update) run
+over BLOCK-element pieces of their arrays (see blocks), so a piece stays in
+cache from one operation to the next. Each element sees the same
+operations in the same order as in a whole-array chain, so the bits are
+identical.
 
 When the BLAS runs one thread and the process may use two or more CPUs (see
-_worker_rule), one worker thread runs whole matrix products beside the
-caller: each linear's and conv's weight gradient while the caller takes the
-input gradient, the attention key projection while the caller takes the
-query and value, and the first half of the heads of the attention core,
-forward and backward, while the caller runs the second half into the same
-preallocated outputs. Each product is the same single-threaded BLAS call
-the caller would make, so every bit is the same with the worker on or off.
-Nothing else runs on it: the public functions, the trainer and Adam stay
-on the caller's thread.
+_worker_rule), one worker thread runs beside the caller. In the forward,
+every linear product of a [T x d] input (q, k, v, out, w1, w2) and the
+FFN's GELU run in two row halves, the first on the worker and the second on
+the caller, into one output the caller allocated; so do the two halves of
+the attention heads. In the backward the worker takes each linear's and
+conv's weight gradient while the caller takes the input gradient, and the
+first half of the heads. A row half of a product gives exactly the whole
+product's rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs
+run whole, as does the stem; every bit is the same with the worker on or
+off. On a 2-vCPU host this took a paper-scale forward from 0.17 to 0.13-0.16 s.
+Nothing else runs on the worker: the public functions, the trainer and
+Adam stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -401,6 +403,22 @@ def _split_work(fn, n: int) -> None:
     first.wait()
 
 
+# Fewest rows in each half of a row-split product. From 8 rows up, the halves
+# of every linear shape the model runs give the whole product's bits; halves
+# of 1-3 rows take other BLAS kernels and do not (at 512x512, T = 2..7).
+MIN_SPLIT_ROWS = 8
+
+
+def _row_halves(fn, n: int) -> None:
+    """fn(slice) over the row halves of range(n) through _split_work when the
+    worker runs and each half has MIN_SPLIT_ROWS rows; else fn(slice(None)).
+    On one thread two half-products pack the weight twice, 5-11% slower."""
+    if gemm_workers() and n >= 2 * MIN_SPLIT_ROWS:
+        _split_work(fn, n)
+    else:
+        fn(slice(None))
+
+
 # ---------------------------------------------------------------------------
 # Primitive ops (forward + backward pairs)
 
@@ -488,14 +506,24 @@ def relu(x: np.ndarray) -> np.ndarray:
 # one array the cache keeps: Phi(z) for GELU, a itself for ReLU.
 # backward(z, s) -> (a, da/dz), with a rebuilt bit-identically from s.
 def _gelu_fwd(z):
+    """A C-ordered 2-D z runs in row halves (see _row_halves), each half with
+    its own row of scratch."""
     a, phi = np.empty_like(z), np.empty_like(z)
-    x2 = np.empty(min(z.size, BLOCK), z.dtype)
-    for zb, pb, ab in blocks(z, phi, a):
-        np.divide(zb, _SQRT2, out=pb)
-        _erf_inplace(pb, x2[: pb.size], ab)  # ab is scratch until z * Phi lands in it
-        pb += 1.0
-        pb *= 0.5
-        np.multiply(zb, pb, out=ab)
+    x2 = np.empty((2, min(z.size, BLOCK)), z.dtype)
+
+    def rows(s):
+        scratch = x2[1 if s.start else 0]  # the second half's row is its own
+        for zb, pb, ab in blocks(z[s], phi[s], a[s]):
+            np.divide(zb, _SQRT2, out=pb)
+            _erf_inplace(pb, scratch[: pb.size], ab)  # ab is scratch until z * Phi lands in it
+            pb += 1.0
+            pb *= 0.5
+            np.multiply(zb, pb, out=ab)
+
+    if z.ndim == 2 and z.flags.c_contiguous:
+        _row_halves(rows, len(z))
+    else:
+        rows(slice(None))
     return a, phi
 
 
@@ -550,9 +578,20 @@ def _layer_norm_bwd(dy, cache, gamma):
     return dx, dgamma, dbeta
 
 
-def _linear_fwd(x, w, b, out=None):
-    """x @ w + b, in `out` if given (else a new array and one temporary)."""
-    return np.add(np.matmul(x, w, out=out), 0.0 if b is None else b, out=out)
+def _linear_fwd(x, w, b):
+    """x @ w (+ b unless b is None). A [T x d_in] x runs in row halves (see
+    _row_halves), each adding the bias in place; a 1-D x is one product."""
+    if x.ndim == 1:
+        return x @ w + b
+    out = np.empty((len(x), w.shape[1]), np.result_type(x, w))
+
+    def rows(s):
+        np.matmul(x[s], w, out=out[s])
+        if b is not None:
+            out[s] += b
+
+    _row_halves(rows, len(x))
+    return out
 
 
 def _linear_bwd(dy, x, w, with_bias=True):
@@ -704,11 +743,9 @@ def _layer_tensors(registry: ParameterRegistry, k: int) -> dict[str, np.ndarray]
 
 
 def _attn_sublayer_fwd(x, p, cfg):
-    k = np.empty((len(x), p["attn.k.w"].shape[1]), np.result_type(x, p["attn.k.w"]))
-    k_done = _Task(_linear_fwd, x, p["attn.k.w"], None, out=k)
     q = _linear_fwd(x, p["attn.q.w"], p["attn.q.b"])
+    k = _linear_fwd(x, p["attn.k.w"], None)
     v = _linear_fwd(x, p["attn.v.w"], p["attn.v.b"])
-    k_done.wait()
     ctx, core_cache = _attention_core_fwd(q, k, v, cfg.n_heads)
     out = _linear_fwd(ctx, p["attn.out.w"], p["attn.out.b"])
     return out, (x, ctx, core_cache)

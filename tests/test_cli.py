@@ -210,7 +210,8 @@ def test_config_file_invariant_violation_is_usage_error(tmp_path, capsys):
      ("n_heads=0", 2), ("max_epochs=0", 2), ("chunk_length_s=inf", 2),
      ("chunk_length_s=1e308", 2), ("learning_rate=nan", 2), ("learning_rate=inf", 2),
      ("threshold=nan", 2), ("threshold=2", 2), ("max_steps=0", 2), ("max_steps=-3", 2),
-     ("threshold=0", 0), ("threshold=1", 0)],
+     ("threshold=0", 0), ("threshold=1", 0), ("n_mels=202", 2), ("n_mels=99999999999", 2),
+     ("chunk_length_s=1e9", 2), ("n_mels=201", 0)],
 )
 def test_config_values_parse_as_their_field_type(tmp_path, capsys, line, want_rc):
     in_dir = tmp_path / "in"
@@ -782,6 +783,22 @@ def test_frame_count_the_model_cannot_take_is_usage_error(
     assert not out_dir.exists()
 
 
+def test_train_with_more_mel_bins_than_fft_bins_is_usage_error(pipeline, tmp_path, capsys,
+                                                                monkeypatch):
+    """n_mels past the FFT's 201 bins used to size a 1.09 PiB stem weight
+    after every WAV had been read."""
+    _, data_dir, _, _ = pipeline
+    cfg_path = tmp_path / "c.cfg"
+    write_config_file(cfg_path, **{**TINY_CFG, "n_mels": 99999999999})
+    monkeypatch.setattr(featurizer, "load_wav", _fail_if_called)
+    out_dir = tmp_path / "out"
+    rc = main(["train", str(data_dir / "train" / "manifest.csv"),
+               str(data_dir / "val" / "manifest.csv"), str(out_dir), "--config", str(cfg_path)])
+    assert rc == 2
+    assert "n_mels" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("chunk", [0.02, 1e-300], ids=["320-samples", "0-samples"])
 @pytest.mark.parametrize("command", ["featurize", "train", "eval"])
 def test_chunk_shorter_than_the_fft_window_is_usage_error(
@@ -802,6 +819,26 @@ def test_chunk_shorter_than_the_fft_window_is_usage_error(
     assert rc == 2
     assert "n_fft=400 exceeds chunk" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_time_command_times_eval_in_both_checkouts(pipeline):
+    """tools/time_command.py: 2 pairs of a tiny eval, one checkout on both
+    sides, alternating which runs first; every report has the same bytes."""
+    root, data_dir, cfg_path, run_dir = pipeline
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "time_command.py"), str(repo), str(repo),
+         "--pairs", "2", "--", "eval", str(run_dir / "checkpoint.bin"),
+         str(data_dir / "test" / "manifest.csv"), "{out}", "--config", str(cfg_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (parent first)") and lines[1].startswith("pair 2 (change first)")
+    for side, line in zip(("parent", "change"), lines[2:4]):
+        assert re.fullmatch(rf"{side}: median [\d.]+ s \(quartiles [\d.]+ / [\d.]+\), "
+                            r"won [0-2] of 2 pairs", line), line
+    assert lines[4] == "outputs: the same bytes on both sides (2 files besides run_manifest.json)"
 
 
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):

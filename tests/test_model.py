@@ -1229,6 +1229,64 @@ def test_paper_scale_worker_on_and_off_give_the_same_bits(monkeypatch):
     _assert_same_bits(*runs)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_short_clips_give_the_same_bits_with_the_worker_on_and_off(dtype, monkeypatch):
+    """One paper-width layer at every length up to 40 positions, where the
+    forward's row halves start at 8 rows each, and at 150, 300 and 1500."""
+    cfg = ModelConfig(n_layers=1)
+    reg = build_registry(cfg, seed=60, dtype=dtype)
+    rng = np.random.default_rng(61)
+    dlogits = np.linspace(-0.5, 0.5, 6)
+    _set_worker(monkeypatch, True)  # one pool for the test; the loop only switches the rule
+    for n_pos in [*range(1, 41), 150, 300, 1500]:
+        x = rng.uniform(-1, 1, size=(cfg.n_mels, 2 * n_pos))
+        runs = []
+        for on in (True, False):
+            model_mod._use_worker = on
+            plain = forward(x, reg, cfg)
+            logits, cache = forward_with_cache(x, reg, cfg)
+            runs.append([logits, plain, backward_pass(dlogits, cache, reg, cfg)])
+            del cache  # 1500 positions in float64 cache 144 MB of attention weights
+        _assert_same_bits(*runs)
+
+
+def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
+    """Each layer's q, k, v, out, w1 and w2 products and its GELU run one row
+    half on the worker, and so do the attention heads; the stem runs here."""
+    cfg = tiny_model_config(max_positions=16)
+    reg = build_registry(cfg, seed=62)
+    x = np.random.default_rng(63).uniform(-1, 1, size=(cfg.n_mels, 32))  # 16 positions
+    ran = []
+
+    class OnWorker(model_mod._Task):
+        """A _Task that records the thread it ran on, and waits for the worker."""
+
+        def __init__(self, fn, *args, **kwargs):
+            def call(*a, **k):
+                ran.append((threading.get_ident(), fn))
+                return fn(*a, **k)
+
+            super().__init__(call, *args, **kwargs)
+
+        def wait(self):
+            return self.future.result(timeout=60)
+
+    _set_worker(monkeypatch, True)
+    monkeypatch.setattr(model_mod, "_Task", OnWorker)
+    forward(x, reg, cfg)
+    on_worker = [fn for ident, fn in ran if ident != threading.get_ident()]
+    assert len(on_worker) == len(ran)
+    tensors = [name for fn in on_worker for cell in fn.__closure__ or ()
+               for name in reg.names() if cell.cell_contents is reg[name]]
+    products = ("attn.q.w", "attn.q.b", "attn.k.w", "attn.v.w", "attn.v.b", "attn.out.w",
+                "attn.out.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+    assert sorted(tensors) == sorted(f"layers.{k}.{key}" for k in range(cfg.n_layers)
+                                     for key in products)
+    kinds = [fn.__qualname__.split(".")[0] for fn in on_worker]
+    assert kinds.count("_linear_fwd") == 6 * cfg.n_layers
+    assert kinds.count("_gelu_fwd") == kinds.count("_attention_core_fwd") == cfg.n_layers
+
+
 @pytest.mark.parametrize("env, cpus, on", [
     ({}, 2, False),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
