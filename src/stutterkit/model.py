@@ -36,7 +36,8 @@ conv's weight gradient while the caller takes the input gradient, and the
 first half of the heads. A row half of a product gives exactly the whole
 product's rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs
 run whole, as does the stem; every bit is the same with the worker on or
-off. On a 2-vCPU host this took a paper-scale forward from 0.17 to 0.13-0.16 s.
+off. On a 2-vCPU host this took a paper-scale forward from 0.16-0.17 s to
+0.13 s.
 Nothing else runs on the worker: the public functions, the trainer and
 Adam stay on the caller's thread.
 """
@@ -409,12 +410,13 @@ def _split_work(fn, n: int) -> None:
 MIN_SPLIT_ROWS = 8
 
 
-def _row_halves(fn, n: int) -> None:
-    """fn(slice) over the row halves of range(n) through _split_work when the
-    worker runs and each half has MIN_SPLIT_ROWS rows; else fn(slice(None)).
-    On one thread two half-products pack the weight twice, 5-11% slower."""
-    if gemm_workers() and n >= 2 * MIN_SPLIT_ROWS:
-        _split_work(fn, n)
+def _row_halves(fn, x: np.ndarray) -> None:
+    """fn(slice) over x's row halves through _split_work when the worker runs
+    and x is a C-ordered matrix whose halves have MIN_SPLIT_ROWS rows each;
+    else fn(slice(None)). On one thread two half-products pack the weight
+    twice, 5-11% slower than one whole product."""
+    if gemm_workers() and x.ndim == 2 and x.flags.c_contiguous and len(x) >= 2 * MIN_SPLIT_ROWS:
+        _split_work(fn, len(x))
     else:
         fn(slice(None))
 
@@ -506,8 +508,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 # one array the cache keeps: Phi(z) for GELU, a itself for ReLU.
 # backward(z, s) -> (a, da/dz), with a rebuilt bit-identically from s.
 def _gelu_fwd(z):
-    """A C-ordered 2-D z runs in row halves (see _row_halves), each half with
-    its own row of scratch."""
+    """z runs in row halves if _row_halves splits it, each half with its own
+    row of scratch."""
     a, phi = np.empty_like(z), np.empty_like(z)
     x2 = np.empty((2, min(z.size, BLOCK)), z.dtype)
 
@@ -520,10 +522,7 @@ def _gelu_fwd(z):
             pb *= 0.5
             np.multiply(zb, pb, out=ab)
 
-    if z.ndim == 2 and z.flags.c_contiguous:
-        _row_halves(rows, len(z))
-    else:
-        rows(slice(None))
+    _row_halves(rows, z)
     return a, phi
 
 
@@ -590,7 +589,7 @@ def _linear_fwd(x, w, b):
         if b is not None:
             out[s] += b
 
-    _row_halves(rows, len(x))
+    _row_halves(rows, x)
     return out
 
 

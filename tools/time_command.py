@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     split = argv.index("--") if "--" in argv else len(argv)
     args, command = parser.parse_args(argv[:split]), argv[split + 1 :]
     if not command or args.pairs < 1:
-        parser.error("needs --pairs >= 1 and, after --, the stutterkit argv ({out}: a fresh directory)")
+        parser.error("needs --pairs >= 1 and, after --, the stutterkit argv")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times: dict[str, list[float]] = {"parent": [], "change": []}
     reference, differ = None, set()
