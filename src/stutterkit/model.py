@@ -37,9 +37,8 @@ first half of the heads. A row half of a product gives exactly the whole
 product's rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs
 run whole, as does the stem; every bit is the same with the worker on or
 off. On a 2-vCPU host this took a paper-scale forward from 0.16-0.17 s to
-0.13 s.
-Nothing else runs on the worker: the public functions, the trainer and
-Adam stay on the caller's thread.
+0.13 s. Nothing else runs on the worker: the public functions, the trainer
+and Adam stay on the caller's thread.
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ import argparse
 import hashlib
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from bench_pairs import quartiles  # run as a script, this file's directory is on sys.path
 
 SKIPPED = "run_manifest.json"
 _TIMED = (
@@ -65,9 +66,8 @@ def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, dict[s
 
 
 def spread(times: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(times * (2 if len(times) < 2 else 1), n=4,
-                                          method="inclusive")
-    return f"median {median:.3f} s (quartiles {q1:.3f} / {q3:.3f})"
+    q = quartiles(times)
+    return f"median {q['median']:.3f} s (quartiles {q['q1']:.3f} / {q['q3']:.3f})"
 
 
 def main(argv: list[str] | None = None) -> int:
