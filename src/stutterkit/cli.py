@@ -50,7 +50,7 @@ USAGE_ERRORS = (
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise UsageError(f"{path}: not UTF-8: {e}") from None
     out: dict[str, str] = {}
@@ -197,7 +197,7 @@ def cmd_featurize(args) -> int:
 
 
 def _read_speaker_groups(path: str) -> dict[str, list[str]]:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             groups = json.load(f)
         except ValueError as e:  # not JSON, or not UTF-8

@@ -304,8 +304,8 @@ def _csv_rows(path: str | Path, kind: str, fields: list[str]):
     """(line number, row) for each row of a CSV that has every named column;
     ValueError on a missing column, a row with too few fields, a row csv
     cannot parse (such as a field over csv.field_size_limit) or bytes that
-    are not UTF-8."""
-    with open(path, newline="", encoding="utf-8") as f:
+    are not UTF-8. A leading UTF-8 byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         try:
             missing = set(fields) - set(reader.fieldnames or ())

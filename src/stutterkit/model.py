@@ -4,6 +4,8 @@ Architecture: two-layer conv stem over the mel axis (kernel 3, second conv
 stride 2, GELU after each), additive sinusoidal position table, a stack of
 self-attention encoder layers (pre- or post-norm), final layer norm, mean
 pooling over time, a linear projector, and a linear six-way classifier.
+Each conv pads time by one on either side, unfolds the kernel-3 patches
+into a [T/stride x C_in*3] matrix and runs one product with its weight.
 
 All parameters live in a ParameterRegistry keyed by name and grouped into
 feature_extractor / encoder_layer_k / head so a freezing strategy is the
@@ -36,9 +38,8 @@ conv's weight gradient while the caller takes the input gradient, and the
 first half of the heads. A row half of a product gives exactly the whole
 product's rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs
 run whole, as does the stem; every bit is the same with the worker on or
-off. On a 2-vCPU host this took a paper-scale forward from 0.16-0.17 s to
-0.13 s. Nothing else runs on the worker: the public functions, the trainer
-and Adam stay on the caller's thread.
+off. Nothing else runs on the worker: the public functions, the trainer and
+Adam stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -541,18 +542,19 @@ def _relu_bwd(z, a):
 _ACT = {"gelu": (_gelu_fwd, _gelu_bwd), "relu": (_relu_fwd, _relu_bwd)}
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
-def _layer_norm_fwd(x, gamma, beta, eps=LN_EPS):
+def _layer_norm_fwd(x, gamma, beta):
     # x - mu is taken once: its squares' mean is the variance (the reduction
     # np.var runs, so the bits match), and it is scaled in place into xhat.
     xhat = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv_std
     y = xhat * gamma
     y += beta
@@ -560,11 +562,11 @@ def _layer_norm_fwd(x, gamma, beta, eps=LN_EPS):
 
 
 def _layer_norm_bwd(dy, cache, gamma):
-    """(dx, dgamma, dbeta); dx is None, and costs nothing, when gamma is None
-    (an input whose gradient no caller reads)."""
+    """(dx, dgamma, dbeta) for a [T x d] dy; dx is None, and costs nothing,
+    when gamma is None (an input whose gradient no caller reads)."""
     xhat, inv_std = cache
-    dgamma = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    dbeta = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dgamma = np.sum(dy * xhat, axis=0)
+    dbeta = np.sum(dy, axis=0)
     if gamma is None:
         return None, dgamma, dbeta
     dxhat = dy * gamma
@@ -577,10 +579,8 @@ def _layer_norm_bwd(dy, cache, gamma):
 
 
 def _linear_fwd(x, w, b):
-    """x @ w (+ b unless b is None). A [T x d_in] x runs in row halves (see
-    _row_halves), each adding the bias in place; a 1-D x is one product."""
-    if x.ndim == 1:
-        return x @ w + b
+    """[T x d_in] x @ w (+ b unless b is None), in row halves (see
+    _row_halves), each adding the bias in place."""
     out = np.empty((len(x), w.shape[1]), np.result_type(x, w))
 
     def rows(s):
@@ -603,41 +603,33 @@ def _linear_bwd(dy, x, w, with_bias=True):
     return dx, dw, db
 
 
-def _conv1d_fwd(x, w, b, stride, padding):
-    """x [C_in, T] -> y [C_out, T_out]; returns (y, cols) with cols the
-    unfolded [T_out, C_in*K] patch matrix used by the backward pass."""
-    c_in, t = x.shape
-    c_out, _, k = w.shape
-    xp = np.pad(x, ((0, 0), (padding, padding)))
-    t_out = (t + 2 * padding - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride, :][:, :t_out]
-    cols = windows.transpose(1, 0, 2).reshape(t_out, c_in * k)
-    y = (cols @ w.reshape(c_out, -1).T + b).T
-    return y, cols
+def _conv_fwd(x, w, b, stride):
+    """The stem's conv (kernel 3, padding 1): x [C_in x T] -> (z, cols), z
+    the [C_out x T/stride] transpose of one C-ordered product and cols the
+    unfolded [T/stride x C_in*3] patch matrix the backward reads."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (1, 1))), 3, axis=1)
+    cols = windows[:, ::stride].transpose(1, 0, 2).reshape(-1, 3 * len(x))
+    return (cols @ w.reshape(len(w), -1).T + b).T, cols
 
 
-def _conv1d_bwd(dy, cols, x_shape, w, stride, padding):
-    """(dx, dw, db) for _conv1d_fwd, dw on the worker. dx is None, and costs
-    nothing, when x_shape is None (an input whose gradient no caller reads)."""
-    dy_t = dy.T  # [T_out, C_out]
-    dw = np.empty(w.shape, np.result_type(dy, cols))
-    dw_done = _Task(np.matmul, dy, cols, out=dw.reshape(len(w), -1))
-    dx = None if x_shape is None else _conv1d_input_grad(dy_t, x_shape, w, stride, padding)
-    db = dy_t.sum(axis=0)
+def _conv_bwd(dz, cols, w, stride, need_dx=True):
+    """(dx, dw, db) for _conv_fwd, dw on the worker; dx is None, and costs
+    nothing, unless need_dx. Each of the 3 taps adds its patch gradient back
+    at every stride-th column of the padded input."""
+    dz_t = dz.T  # [T/stride x C_out]
+    dw = np.empty(w.shape, np.result_type(dz, cols))
+    dw_done = _Task(np.matmul, dz, cols, out=dw.reshape(len(w), -1))
+    dx = None
+    if need_dx:
+        t = stride * len(cols)
+        dcols = (dz_t @ w.reshape(len(w), -1)).reshape(len(cols), -1, 3)
+        dxp = np.zeros((w.shape[1], t + 2), dtype=dz_t.dtype)
+        for j in range(3):
+            dxp[:, j : j + t : stride] += dcols[:, :, j].T
+        dx = dxp[:, 1 : t + 1]
+    db = dz_t.sum(axis=0)
     dw_done.wait()
     return dx, dw, db
-
-
-def _conv1d_input_grad(dy_t, x_shape, w, stride, padding):
-    c_in, t = x_shape
-    c_out, _, k = w.shape
-    t_out = dy_t.shape[0]
-    dcols = (dy_t @ w.reshape(c_out, -1)).reshape(t_out, c_in, k)
-    dxp = np.zeros((c_in, t + 2 * padding), dtype=dy_t.dtype)
-    offsets = np.arange(t_out) * stride
-    for j in range(k):
-        dxp[:, offsets + j] += dcols[:, :, j].T
-    return dxp[:, padding : padding + t] if padding else dxp
 
 
 def _split_heads(x, n_heads):
@@ -669,12 +661,15 @@ def _attention_core_bwd(dctx, cache, n_heads):
     dctx3 = _split_heads(dctx, n_heads)
     dq, dk, dv = (np.empty(dctx.shape, dctx.dtype) for _ in range(3))
     dq3, dk3, dv3 = (_split_heads(a, n_heads) for a in (dq, dk, dv))
-    dprobs, products = np.empty_like(probs), np.empty_like(probs)
+    dprobs = np.empty_like(probs)
+    products = np.empty((2, *probs.shape[1:]), probs.dtype)  # one [T x T] per half
 
     def heads(s):
         np.matmul(probs[s].transpose(0, 2, 1), dctx3[s], out=dv3[s])
         dscores = np.matmul(dctx3[s], v3[s].transpose(0, 2, 1), out=dprobs[s])
-        dscores -= np.multiply(dscores, probs[s], out=products[s]).sum(axis=-1, keepdims=True)
+        product = products[1 if s.start else 0]  # the second half's is its own
+        for h in range(n_heads)[s]:
+            dprobs[h] -= np.multiply(dprobs[h], probs[h], out=product).sum(axis=-1, keepdims=True)
         dscores *= probs[s]
         np.matmul(dscores, k3[s], out=dq3[s])
         dq3[s] *= scale
@@ -707,32 +702,31 @@ def check_frame_count(n_frames: int, cfg: ModelConfig) -> None:
 
 
 def _conv_stem_fwd(x, registry, cfg):
+    """[n_mels x T] -> ([T/2 x d_model], one (z, Phi(z), patches) per conv)."""
     if x.ndim != 2 or x.shape[0] != cfg.n_mels:
         raise ShapeMismatch(f"expected [{cfg.n_mels} x T] input, got {x.shape}")
     check_frame_count(x.shape[1], cfg)
-    z1, cols1 = _conv1d_fwd(x, registry["conv1.w"], registry["conv1.b"], stride=1, padding=1)
-    a1, phi1 = _gelu_fwd(z1)
-    z2, cols2 = _conv1d_fwd(a1, registry["conv2.w"], registry["conv2.b"], stride=2, padding=1)
-    a2, phi2 = _gelu_fwd(z2)
-    return a2.T, ((z1, phi1, cols1), (a1.shape, z2, phi2, cols2))  # [T/2, d_model]
+    parts = []
+    for conv, stride in (("conv1", 1), ("conv2", 2)):
+        z, cols = _conv_fwd(x, registry[f"{conv}.w"], registry[f"{conv}.b"], stride)
+        x, phi = _gelu_fwd(z)
+        parts.append((z, phi, cols))
+    return x.T, parts
 
 
 def _stem_cache(parts):
-    """The stem's backward cache from _conv_stem_fwd's (z, Phi(z), patches) per
-    conv, with conv2's input shape. The backward reads z only through GELU's
-    derivative, so the cache keeps that in place of z (and of Phi): one array
-    per activation. conv1's input gradient is never taken, so its input shape
-    is not kept."""
-    (z1, phi1, cols1), (a1_shape, z2, phi2, cols2) = parts
-    return (gelu_grad(z1, phi1), cols1, a1_shape, gelu_grad(z2, phi2), cols2)
+    """The stem's backward cache from _conv_stem_fwd's parts: a (GELU
+    derivative, patches) pair per conv. The backward reads z only through
+    GELU's derivative, so the cache keeps that in place of z (and of Phi):
+    one array per activation."""
+    return [(gelu_grad(z, phi), cols) for z, phi, cols in parts]
 
 
 def _conv_stem_bwd(dh, cache, registry):
-    dgelu1, cols1, a1_shape, dgelu2, cols2 = cache
-    dz2 = dh.T * dgelu2
-    da1, dw2, db2 = _conv1d_bwd(dz2, cols2, a1_shape, registry["conv2.w"], stride=2, padding=1)
-    dz1 = da1 * dgelu1
-    _, dw1, db1 = _conv1d_bwd(dz1, cols1, None, registry["conv1.w"], stride=1, padding=1)
+    """conv1's input is the spectrogram, so its input gradient is not taken."""
+    (dgelu1, cols1), (dgelu2, cols2) = cache
+    da1, dw2, db2 = _conv_bwd(dh.T * dgelu2, cols2, registry["conv2.w"], 2)
+    _, dw1, db1 = _conv_bwd(da1 * dgelu1, cols1, registry["conv1.w"], 1, need_dx=False)
     return {"conv1.w": dw1, "conv1.b": db1, "conv2.w": dw2, "conv2.b": db2}
 
 
@@ -862,8 +856,8 @@ def _head_fwd(h, registry):
         h, registry["post_encoder_layernorm.gamma"], registry["post_encoder_layernorm.beta"]
     )
     pooled = g.mean(axis=0)
-    u = _linear_fwd(pooled, registry["projector.w"], registry["projector.b"])
-    logits = _linear_fwd(u, registry["classifier.w"], registry["classifier.b"])
+    u = pooled @ registry["projector.w"] + registry["projector.b"]
+    logits = u @ registry["classifier.w"] + registry["classifier.b"]
     _check_finite(logits, "classifier")
     return logits, (ln_cache, pooled, u)
 

@@ -2,6 +2,7 @@
 curate -> train -> eval chain on a small synthetic corpus."""
 
 import argparse
+import codecs
 import csv
 import hashlib
 import importlib
@@ -393,6 +394,24 @@ def test_curate_unreadable_inventory_exits_one_and_names_the_file(pipeline, tmp_
         ])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["config", "groups", "inventory", "split manifest"])
+def test_input_files_may_start_with_a_utf8_byte_order_mark(pipeline, tmp_path, kind):
+    """Excel and Notepad start UTF-8 files with a byte-order mark; each input
+    file kind reads the same with it as without it."""
+    root, data_dir, cfg_path, _ = pipeline
+    source, read = {
+        "config": (cfg_path, cli._read_config_file),
+        "groups": (root / "groups.json", cli._read_speaker_groups),
+        "inventory": (root / "inventory.csv", curation.read_inventory),
+        "split manifest": (data_dir / "train" / "manifest.csv", curation.read_split),
+    }[kind]
+    plain, bom = tmp_path / "plain", tmp_path / "bom"  # one directory: manifest paths agree
+    plain.write_bytes(source.read_bytes())
+    bom.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+    want = read(str(plain))
+    assert want and read(str(bom)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from stutterkit.model import (
     BLAS_THREAD_VARS,
     BLOCK,
     _attention_core_fwd,
-    _conv1d_fwd,
+    _conv_fwd,
     _ffn_sublayer_fwd,
     _gelu_fwd,
     _layer_norm_fwd,
@@ -218,7 +218,7 @@ def test_attention_hand_case_two_by_two():
 def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
     scores = rng.normal(scale=5.0, size=(3, 7, 7))
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(probs >= 0.0)
 
@@ -1029,9 +1029,9 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     reg = build_registry(TINY, seed=5, dtype=dtype)
     x = np.random.default_rng(6).uniform(-1, 1, size=(TINY.n_mels, 8)).astype(dtype)
     _, (stem, layers, _) = forward_with_cache(x, reg, TINY)
-    dgelu1, _, _, dgelu2, _ = stem
-    z1 = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
-    z2 = _conv1d_fwd(_gelu_fwd(z1)[0], reg["conv2.w"], reg["conv2.b"], stride=2, padding=1)[0]
+    (dgelu1, _), (dgelu2, _) = stem
+    z1 = _conv_fwd(x, reg["conv1.w"], reg["conv1.b"], 1)[0]
+    z2 = _conv_fwd(_gelu_fwd(z1)[0], reg["conv2.w"], reg["conv2.b"], 2)[0]
     assert dgelu1.dtype == dgelu2.dtype == dtype
     assert np.array_equal(dgelu1, gelu_grad(z1, _gelu_fwd(z1)[1]))
     assert np.array_equal(dgelu2, gelu_grad(z2, _gelu_fwd(z2)[1]))
@@ -1067,7 +1067,7 @@ def _stem_activation(dtype):
     """conv1's output at paper width over 600 frames: F-ordered, 4.7 blocks."""
     reg = build_registry(ModelConfig(n_layers=1), seed=21, dtype=dtype)
     x = np.random.default_rng(22).uniform(-1, 1, size=(80, 600)).astype(dtype)
-    z = _conv1d_fwd(x, reg["conv1.w"], reg["conv1.b"], stride=1, padding=1)[0]
+    z = _conv_fwd(x, reg["conv1.w"], reg["conv1.b"], 1)[0]
     assert z.flags.f_contiguous and not z.flags.c_contiguous
     return z
 
