@@ -65,8 +65,10 @@ def test_the_benchmark_probe_runs_on_a_tiny_config(monkeypatch, tmp_path):
     write_tone_wav(wav, 1.0, 440.0)
     result = child.run_probe(str(wav), config)
     assert result["missing"] == []
-    assert sorted(result["probe"]) == ["model.conv_stem.p50_s", "model.encoder_layer_forward.0.p50_s",
-                                       "model.encoder_layer_forward.1.p50_s"]
+    assert sorted(result["probe"]) == [
+        "model.conv_stem.p50_s", "model.encoder_layer_forward.0.p50_s",
+        "model.encoder_layer_forward.1.p50_s",
+    ]
     t = featurizer.FeaturizerConfig(n_mels=12, chunk_length_s=3.0).chunk_frames
     assert [name for name, _ in outputs] == ["stem", "layer", "layer"] * child.PROBE_REPEATS
     assert all(out.shape == (t // 2, 16) for _, out in outputs)
