@@ -508,8 +508,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 # one array the cache keeps: Phi(z) for GELU, a itself for ReLU.
 # backward(z, s) -> (a, da/dz), with a rebuilt bit-identically from s.
 def _gelu_fwd(z):
-    """z runs in row halves if _row_halves splits it, each half with its own
-    row of scratch."""
+    """float32 z runs in row halves if _row_halves splits it, each half with
+    its own row of scratch. Any other dtype runs whole here: its erf builds a
+    Python object array (see _erf_inplace), which the worker must not
+    allocate, and holds the GIL, so a split would not overlap anyway."""
     a, phi = np.empty_like(z), np.empty_like(z)
     x2 = np.empty((2, min(z.size, BLOCK)), z.dtype)
 
@@ -522,7 +524,10 @@ def _gelu_fwd(z):
             pb *= 0.5
             np.multiply(zb, pb, out=ab)
 
-    _row_halves(rows, z)
+    if z.dtype == np.float32:
+        _row_halves(rows, z)
+    else:
+        rows(slice(None))
     return a, phi
 
 
@@ -928,19 +933,28 @@ def frozen_prefix_depth(registry: ParameterRegistry, cfg: ModelConfig) -> int | 
     return depth
 
 
-def backward_pass(dlogits, cache, registry, cfg):
+def backward_pass(dlogits, cache, registry, cfg, into=None):
     """Gradients, in the registry's dtype, given d loss / d logits and a
     forward_with_cache cache: for the head and each encoder layer the forward
-    ran, and for the stem and embed_positions if it started from a spectrogram."""
+    ran, and for the stem and embed_positions if it started from a spectrogram.
+
+    `into` maps some of those names (a training step's trainable ones) to
+    accumulators: each such gradient is added into its accumulator as soon as
+    the head, a layer or the stem makes it, and the result holds the
+    accumulator itself under that name. Every other name maps to a fresh
+    gradient."""
     stem_cache, layer_caches, (ln_cache, pooled, u) = cache
     n_pos = ln_cache[0].shape[0]  # the rows of the head's normalized input
+    into = {} if into is None else into
     grads: dict[str, np.ndarray] = {}
+
+    def add(block, prefix=""):
+        for key, g in block.items():
+            name = prefix + key
+            grads[name] = np.add(into[name], g, out=into[name]) if name in into else g
+
     dlogits = np.asarray(dlogits, dtype=registry.dtype)
-    grads["classifier.w"] = np.outer(u, dlogits)
-    grads["classifier.b"] = dlogits
     du = registry["classifier.w"] @ dlogits
-    grads["projector.w"] = np.outer(pooled, du)
-    grads["projector.b"] = du
     dpooled = registry["projector.w"] @ du
     dg = np.tile(dpooled / n_pos, (n_pos, 1))
     # The input gradient of layer k (the head's is k = n_layers) is read from
@@ -948,18 +962,21 @@ def backward_pass(dlogits, cache, registry, cfg):
     lowest = cfg.n_layers - len(layer_caches) + (stem_cache is None)
     gamma = registry["post_encoder_layernorm.gamma"] if lowest <= cfg.n_layers else None
     dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, gamma)
-    grads["post_encoder_layernorm.gamma"] = dgam
-    grads["post_encoder_layernorm.beta"] = dbet
+    add({"classifier.w": np.outer(u, dlogits), "classifier.b": dlogits,
+         "projector.w": np.outer(pooled, du), "projector.b": du,
+         "post_encoder_layernorm.gamma": dgam, "post_encoder_layernorm.beta": dbet})
     for k, layer_cache in zip(range(cfg.n_layers - 1, -1, -1), layer_caches[::-1]):
         dh, layer_grads = _encoder_layer_bwd(
             dh, layer_cache, _layer_tensors(registry, k), cfg, need_dx=k >= lowest
         )
-        grads.update({f"layers.{k}.{key}": val for key, val in layer_grads.items()})
+        add(layer_grads, f"layers.{k}.")
+        del layer_grads  # before the next layer's backward makes its own
     if stem_cache is not None:
         dpos = np.zeros_like(registry["embed_positions"])
         dpos[:n_pos] = dh
-        grads["embed_positions"] = dpos
-        grads.update(_conv_stem_bwd(dh, stem_cache, registry))
+        add({"embed_positions": dpos})
+        del dpos
+        add(_conv_stem_bwd(dh, stem_cache, registry))
     return grads
 
 

@@ -95,20 +95,19 @@ def backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients for a batch, averaged so the loss is the
     mean element-wise BCE over batch x classes. Only trainable parameters
-    appear in the gradient dict."""
+    appear in the gradient dict: one zero-filled accumulator each, passed to
+    every example's backward_pass as `into`, so each element sums 0 + g1 +
+    g2 ... in example order and no example's whole gradient dict is held."""
     if not batch:
         raise EmptyDataset("cannot run a backward pass on an empty batch")
     n = len(batch)
-    trainable = [name for name, e in registry.items() if e.trainable]
-    grads = {name: np.zeros_like(registry[name]) for name in trainable}
+    grads = {name: np.zeros_like(e.value) for name, e in registry.items() if e.trainable}
     total_loss = 0.0
     for values, bits in batch:
         logits, cache = forward_with_cache(values, registry, cfg)
         total_loss += bce_with_logits(logits, bits)
-        example_grads = backward_pass(bce_with_logits_grad(logits, bits, n), cache, registry, cfg)
-        for name in trainable:
-            grads[name] += example_grads[name]
-        del cache, example_grads  # free before the next example's forward
+        backward_pass(bce_with_logits_grad(logits, bits, n), cache, registry, cfg, into=grads)
+        del cache  # free before the next example's forward
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient for {name!r}")

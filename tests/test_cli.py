@@ -23,6 +23,7 @@ from helpers import (
     curation_fixture,
     edit_checkpoint_tensors,
     inventory_row,
+    load_tool,
     write_config_file,
     write_inventory_csv,
     write_tone_wav,
@@ -842,7 +843,8 @@ def test_chunk_shorter_than_the_fft_window_is_usage_error(
 
 def test_time_command_times_eval_in_both_checkouts(pipeline):
     """tools/time_command.py: 2 pairs of a tiny eval, one checkout on both
-    sides, alternating which runs first; every report has the same bytes."""
+    sides, alternating which runs first, each run's time and own peak memory;
+    every report has the same bytes."""
     root, data_dir, cfg_path, run_dir = pipeline
     repo = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -856,8 +858,20 @@ def test_time_command_times_eval_in_both_checkouts(pipeline):
     assert lines[0].startswith("pair 1 (parent first)") and lines[1].startswith("pair 2 (change first)")
     for side, line in zip(("parent", "change"), lines[2:4]):
         assert re.fullmatch(rf"{side}: median [\d.]+ s \(quartiles [\d.]+ / [\d.]+\), "
-                            r"won [0-2] of 2 pairs", line), line
+                            r"won [0-2] of 2 pairs; VmHWM [\d.]+ MB, won [0-2] of 2 pairs", line), line
     assert lines[4] == "outputs: the same bytes on both sides (2 files besides run_manifest.json)"
+
+
+def test_time_command_reports_a_missing_peak_as_na(monkeypatch):
+    """Without /proc a run reads no VmHWM: its median prints n/a, and a pair
+    without both peaks is won by neither side."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))  # time_command imports bench_pairs
+    tool = load_tool(tools / "time_command.py")
+    assert tool.megabytes([None, None]) == "n/a"
+    assert tool.megabytes([512.0, 640.0, 600.0]) == "600.0 MB"
+    peaks = {"parent": [600.0, None, 610.0], "change": [550.0, 540.0, 610.0]}
+    assert tool.pairs_won(peaks) == {"parent": 0, "change": 1}
 
 
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):

@@ -1287,6 +1287,57 @@ def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
     assert kinds.count("_gelu_fwd") == kinds.count("_attention_core_fwd") == cfg.n_layers
 
 
+@pytest.mark.parametrize("dtype, tasks", [(np.float32, 1), (np.float64, 0)])
+def test_only_a_float32_gelu_runs_a_row_half_on_the_worker(dtype, tasks, monkeypatch):
+    """float64 erf builds a Python object array, which the worker must not
+    allocate, so a float64 GELU runs whole here; its bits do not change."""
+    z = np.random.default_rng(64).uniform(-4, 4, size=(2 * model_mod.MIN_SPLIT_ROWS, 24)).astype(dtype)
+    _set_worker(monkeypatch, False)
+    whole = _gelu_fwd(z)
+    submitted = []
+
+    class Counted(model_mod._Task):
+        def __init__(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            super().__init__(fn, *args, **kwargs)
+
+    _set_worker(monkeypatch, True)
+    monkeypatch.setattr(model_mod, "_Task", Counted)
+    on = _gelu_fwd(z)
+    assert len(submitted) == tasks
+    assert all(np.array_equal(a, b) for a, b in zip(whole, on, strict=True))
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("spec", ["UnFrz0-1", "Frz0-0+FrzFE"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_pass_adds_into_the_accumulators_it_returns(dtype, spec, on, monkeypatch):
+    """With `into`, every tensor the forward ran comes back, the trainable ones
+    as the accumulators themselves, and after two examples each accumulator
+    holds 0 + g1 + g2 of into-less passes, byte for byte."""
+    cfg = tiny_model_config(max_positions=16)
+    reg = apply_freeze(build_registry(cfg, seed=65, dtype=dtype), parse_freeze_spec(spec, cfg.n_layers))
+    rng = np.random.default_rng(66)
+    _set_worker(monkeypatch, on)
+    passes = []  # (dlogits, cache) per example; clips of 16 and 5 positions
+    for frames in (32, 10):
+        _, cache = forward_with_cache(rng.uniform(-1, 1, size=(cfg.n_mels, frames)), reg, cfg)
+        passes.append((rng.uniform(-0.5, 0.5, size=6), cache))
+    fresh = [backward_pass(d, cache, reg, cfg) for d, cache in passes]
+    trainable = [name for name, e in reg.items() if e.trainable]
+    want = {name: np.zeros_like(reg[name]) + fresh[0][name] + fresh[1][name] for name in trainable}
+    into = {name: np.zeros_like(reg[name]) for name in trainable}
+    for (d, cache), plain in zip(passes, fresh):
+        got = backward_pass(d, cache, reg, cfg, into)
+        assert set(got) == set(plain) == set(reg.names())
+        for name in got:
+            if name in into:
+                assert got[name] is into[name], name
+            else:
+                assert got[name].tobytes() == plain[name].tobytes(), name
+    assert all(into[name].tobytes() == want[name].tobytes() for name in trainable)
+
+
 @pytest.mark.parametrize("env, cpus, on", [
     ({}, 2, False),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),

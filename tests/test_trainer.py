@@ -192,8 +192,10 @@ def test_backward_head_gradients_match_finite_differences():
 def test_backward_rejects_non_finite_gradient(monkeypatch):
     reg = build_registry(TINY, seed=0)
 
-    def poisoned(dlogits, cache, registry, cfg):
-        return {name: np.full_like(registry[name], np.nan) for name in registry.names()}
+    def poisoned(dlogits, cache, registry, cfg, into):
+        for g in into.values():
+            g.fill(np.nan)
+        return into
 
     monkeypatch.setattr(trainer_mod, "backward_pass", poisoned)
     with pytest.raises(NonFiniteGradient):
@@ -405,6 +407,29 @@ def test_one_forward_cache_alive_at_a_time(run):
     _, peak_one = _traced(lambda: run(exs[:1], reg))
     _, peak_three = _traced(lambda: run(exs, reg))
     assert peak_three - peak_one < cache_bytes / 2, (peak_one, peak_three, cache_bytes)
+
+
+# Wide weights and a short clip, so the trainable gradients dominate a step.
+WIDE_D = tiny_model_config(d_model=256, n_layers=4, n_heads=2, d_ffn=1024, n_mels=16,
+                           max_positions=1500, d_proj=64)
+
+
+def test_a_backward_holds_each_trainable_gradient_about_once():
+    """One accumulator per trainable tensor, one example's cache and one
+    block's fresh gradients. Holding each example's whole gradient dict
+    beside the accumulators took the peak to 2.18x the trainable bytes."""
+    reg = apply_freeze(build_registry(WIDE_D, seed=44), parse_freeze_spec("UnFrz0-3", 4))
+    batch = _examples(2, cfg=WIDE_D, seed=45, t=64)
+    trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
+    backward(batch, reg, WIDE_D)  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        backward(batch, reg, WIDE_D)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * trainable_bytes, (peak, trainable_bytes)
 
 
 # ---------------------------------------------------------------------------

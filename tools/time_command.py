@@ -8,10 +8,14 @@ reads mostly the host's drift; this times the command alone, as often as
 asked. Each run starts a new interpreter with the checkout's `src` as
 PYTHONPATH and OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1, as bench/run.py sets
 them, and times `stutterkit.cli.main(argv)` (interpreter start and imports
-excluded). `{out}` in the argv becomes a fresh directory per run. The side
-that runs first alternates from pair to pair. Prints each side's median and
-quartiles and the pairs each side won (the shorter time wins). Exits 1 if a
-run fails, or if any file a run writes under `{out}`, other than
+excluded). After `main` returns, the run reads its own VmHWM (peak resident
+memory) from /proc/self/status: unlike ru_maxrss, which a child inherits
+from the process that forked it, VmHWM starts afresh at exec, so it is the
+command's own peak. `{out}` in the argv becomes a fresh directory per run.
+The side that runs first alternates from pair to pair. Prints each side's
+median and quartiles of the time, its median VmHWM (n/a without /proc), and
+the pairs each side won on each (the lower value wins). Exits 1 if a run
+fails, or if any file a run writes under `{out}`, other than
 run_manifest.json (which holds wall times), differs in bytes from the first
 parent run's.
 """
@@ -20,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,11 +37,17 @@ from bench_pairs import quartiles  # run as a script, this file's directory is o
 
 SKIPPED = "run_manifest.json"
 _TIMED = (
-    "import sys, time\n"
+    "import json, sys, time\n"
     "from stutterkit.cli import main\n"
     "start = time.perf_counter()\n"
     "rc = main(sys.argv[2:])\n"
-    "open(sys.argv[1], 'w').write(repr(time.perf_counter() - start))\n"
+    "took = time.perf_counter() - start\n"
+    "try:\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        hwm = next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+    "except (OSError, StopIteration):\n"
+    "    hwm = None\n"
+    "open(sys.argv[1], 'w').write(json.dumps([took, hwm]))\n"
     "sys.exit(rc)\n"
 )
 
@@ -44,9 +56,10 @@ class RunFailed(RuntimeError):
     """The command exited non-zero."""
 
 
-def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, dict[str, str]]:
-    """Seconds spent in cli.main, and the sha256 of each file the run wrote
-    under {out} (SKIPPED aside), keyed by its path there."""
+def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, float | None, dict[str, str]]:
+    """Seconds spent in cli.main, the run's VmHWM in MB (kB / 1024, None
+    without /proc), and the sha256 of each file the run wrote under {out}
+    (SKIPPED aside), keyed by its path there."""
     work.mkdir()
     out, seconds = work / "out", work / "seconds"
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
@@ -60,14 +73,25 @@ def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, dict[s
         raise RunFailed(f"{checkout}: exit status {proc.returncode}: {tail[0]}")
     files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != SKIPPED)
     digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-    took = float(seconds.read_text())
+    took, hwm_kb = json.loads(seconds.read_text())
     shutil.rmtree(work)
-    return took, digests
+    return took, None if hwm_kb is None else hwm_kb / 1024, digests
 
 
 def spread(times: list[float]) -> str:
     q = quartiles(times)
     return f"median {q['median']:.3f} s (quartiles {q['q1']:.3f} / {q['q3']:.3f})"
+
+
+def megabytes(peaks: list[float | None]) -> str:
+    """The median peak in MB, or n/a if a run could not read its own."""
+    return "n/a" if None in peaks else f"{statistics.median(peaks):.1f} MB"
+
+
+def pairs_won(values: dict[str, list[float | None]]) -> dict[str, int]:
+    """The pairs each side won: the lower value wins, a tie or n/a neither."""
+    pairs = [(p, c) for p, c in zip(values["parent"], values["change"]) if None not in (p, c)]
+    return {"parent": sum(p < c for p, c in pairs), "change": sum(c < p for p, c in pairs)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,26 +106,29 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("needs --pairs >= 1 and, after --, the stutterkit argv")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times: dict[str, list[float]] = {"parent": [], "change": []}
+    peaks: dict[str, list[float | None]] = {"parent": [], "change": []}
     reference, differ = None, set()
     with tempfile.TemporaryDirectory(prefix="time_command_") as tmp:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 try:
-                    took, digests = run_once(sides[side], command, Path(tmp) / f"{side}{i}")
+                    took, peak, digests = run_once(sides[side], command, Path(tmp) / f"{side}{i}")
                 except RunFailed as e:
                     print(f"pair {i + 1}, {side}: {e}", file=sys.stderr)
                     return 1
                 times[side].append(took)
+                peaks[side].append(peak)
                 reference = digests if reference is None else reference
                 differ |= {k for k in reference.keys() | digests.keys()
                            if reference.get(k) != digests.get(k)}
-            print(f"pair {i + 1} ({order[0]} first): parent {times['parent'][-1]:.3f} s, "
-                  f"change {times['change'][-1]:.3f} s", flush=True)
-    won = {"parent": sum(p < c for p, c in zip(times["parent"], times["change"])),
-           "change": sum(c < p for p, c in zip(times["parent"], times["change"]))}
+            print(f"pair {i + 1} ({order[0]} first): "
+                  + ", ".join(f"{side} {times[side][-1]:.3f} s {megabytes(peaks[side][-1:])}"
+                              for side in sides), flush=True)
+    faster, smaller = pairs_won(times), pairs_won(peaks)
     for side in sides:
-        print(f"{side}: {spread(times[side])}, won {won[side]} of {args.pairs} pairs")
+        print(f"{side}: {spread(times[side])}, won {faster[side]} of {args.pairs} pairs; "
+              f"VmHWM {megabytes(peaks[side])}, won {smaller[side]} of {args.pairs} pairs")
     if differ:
         print(f"outputs differ: {', '.join(sorted(differ))}")
         return 1
