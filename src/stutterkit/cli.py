@@ -153,11 +153,27 @@ def _write_run_manifest(
     })
 
 
-def _threads_extra() -> dict:
-    """The model's worker-thread count and the BLAS thread variables that
-    picked it, for the run manifests of the commands that run the model."""
+PROC_STATUS = "/proc/self/status"
+
+
+def _vmhwm_mb() -> float | None:
+    """This process's peak resident memory so far (VmHWM) in MB, or None
+    where PROC_STATUS cannot be read."""
+    try:
+        with open(PROC_STATUS, encoding="ascii") as f:
+            return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        return None
+
+
+def _model_run_extra(start: float) -> dict:
+    """For the run manifests of the commands that run the model: the model's
+    worker-thread count and the BLAS thread variables that picked it, the
+    wall seconds since `start` (a perf_counter reading) and the process's
+    peak resident memory in MB (None without /proc)."""
     return {"gemm_workers": model.gemm_workers(),
-            "blas_thread_env": {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}}
+            "blas_thread_env": {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS},
+            "wall_s": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +301,7 @@ def _check_frame_count(feat_cfg, model_cfg) -> None:
 
 
 def cmd_train(args) -> int:
+    start = time.perf_counter()
     model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
     freeze = model.parse_freeze_spec(args.freeze, model_cfg.n_layers)
     _check_frame_count(feat_cfg, model_cfg)
@@ -314,7 +331,7 @@ def cmd_train(args) -> int:
         [Path(args.train_manifest), Path(args.val_manifest)],
         [ckpt_path, history_path], seed=args.seed,
         extra={"freeze": args.freeze, "trainable_parameters": n_trainable,
-               "epochs_run": len(history), **_threads_extra()},
+               "epochs_run": len(history), **_model_run_extra(start)},
     )
     last = history[-1]
     print(
@@ -325,6 +342,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    start = time.perf_counter()
     _, train_cfg, feat_cfg = _resolve_configs(args.config)
     thresholds = args.threshold or [train_cfg.threshold]
     try:
@@ -363,7 +381,7 @@ def cmd_eval(args) -> int:
     _write_run_manifest(
         out_dir, "eval", _config_digest(model_cfg, train_cfg, feat_cfg),
         [Path(args.checkpoint), Path(args.test_manifest)], outputs, seed=None,
-        extra={"thresholds": thresholds, **_threads_extra()},
+        extra={"thresholds": thresholds, **_model_run_extra(start)},
     )
     return 0
 

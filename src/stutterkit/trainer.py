@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,9 +219,17 @@ def fit(
     training stops, so a constant metric runs patience+1 epochs (the first
     always improves on the -inf initial score). Training also stops after
     the epoch in which the step count reaches max_steps, so every epoch takes
-    at least one step. `seed` seeds the shuffle stream. Only tensors the
-    registry marks trainable change (see model.apply_freeze), so an
-    improving epoch snapshots only those.
+    at least one step. `seed` seeds the shuffle stream.
+
+    The best epoch's weights are kept in an anonymous temporary file (under
+    TMPDIR, removed when fit returns or raises), not in memory: an improving
+    epoch that another epoch may follow writes the trainable tensors' bytes
+    there, straight from the registry's arrays (only tensors the registry
+    marks trainable change; see model.apply_freeze). An improving last epoch
+    writes nothing, since the registry already holds it. If the best epoch
+    is not the last one run, its bytes are read back into the same arrays.
+    An OSError writing or reading the snapshot propagates; a short read
+    raises one naming the tensor.
 
     `fit` indexes train_examples one batch at a time and iterates
     val_examples once per scoring pass, so a lazy sequence holds only the
@@ -242,48 +251,61 @@ def fit(
     trainable = [name for name, e in registry.items() if e.trainable]
     state = TrainState()
     rng = np.random.default_rng(seed)
-    best: dict[str, np.ndarray] = {}
-    best_score = -np.inf
+    best_epoch, best_score = -1, -np.inf
     epochs_since_improvement = 0
     history: list[dict] = []
-    for epoch in range(train_cfg.max_epochs):
-        order = rng.permutation(len(train_examples))
-        epoch_losses = []
-        for start in range(0, len(order), train_cfg.batch_size):
-            if state.step == train_cfg.max_steps:
+    with tempfile.TemporaryFile() as snapshot:
+        for epoch in range(train_cfg.max_epochs):
+            order = rng.permutation(len(train_examples))
+            epoch_losses = []
+            for start in range(0, len(order), train_cfg.batch_size):
+                if state.step == train_cfg.max_steps:
+                    break
+                batch = [train_examples[i] for i in order[start : start + train_cfg.batch_size]]
+                epoch_losses.append(train_step(batch, registry, state, model_cfg, train_cfg))
+            val_loss, report = evaluate_split(
+                val_examples, registry, model_cfg, train_cfg.threshold
+            )
+            last = epoch == train_cfg.max_epochs - 1 or state.step == train_cfg.max_steps
+            improved = report.macro_f1 > best_score
+            if improved:
+                best_epoch, best_score = epoch, report.macro_f1
+                epochs_since_improvement = 0
+                if not last:
+                    snapshot.seek(0)
+                    for name in trainable:
+                        snapshot.write(_raw_bytes(registry[name]))
+                    snapshot.flush()
+            else:
+                epochs_since_improvement += 1
+            history.append(
+                {
+                    "epoch": epoch,
+                    "step": state.step,
+                    "train_loss": float(np.mean(epoch_losses)),
+                    "val_loss": val_loss,
+                    "val_micro": report.micro_f1,
+                    "val_macro": report.macro_f1,
+                    "val_weighted": report.weighted_f1,
+                    "score": report.macro_f1,
+                    "improved": improved,
+                }
+            )
+            if last or epochs_since_improvement >= train_cfg.early_stop_patience:
                 break
-            batch = [train_examples[i] for i in order[start : start + train_cfg.batch_size]]
-            epoch_losses.append(train_step(batch, registry, state, model_cfg, train_cfg))
-        val_loss, report = evaluate_split(
-            val_examples, registry, model_cfg, train_cfg.threshold
-        )
-        improved = report.macro_f1 > best_score
-        if improved:
-            best_score = report.macro_f1
-            best = {name: registry[name].copy() for name in trainable}
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-        history.append(
-            {
-                "epoch": epoch,
-                "step": state.step,
-                "train_loss": float(np.mean(epoch_losses)),
-                "val_loss": val_loss,
-                "val_micro": report.micro_f1,
-                "val_macro": report.macro_f1,
-                "val_weighted": report.weighted_f1,
-                "score": report.macro_f1,
-                "improved": improved,
-            }
-        )
-        if state.step == train_cfg.max_steps or (
-            not improved and epochs_since_improvement >= train_cfg.early_stop_patience
-        ):
-            break
-    for name, value in best.items():
-        registry.entry(name).value = value
+        if best_epoch != epoch:
+            snapshot.seek(0)
+            for name in trainable:
+                view = _raw_bytes(registry[name])
+                if snapshot.readinto(view) != view.nbytes:
+                    raise OSError(f"best-epoch snapshot: short read restoring {name!r}")
     return registry, history
+
+
+def _raw_bytes(value: np.ndarray) -> memoryview:
+    """A flat byte view of a registry array's own memory (no copy)."""
+    assert value.flags.c_contiguous
+    return memoryview(value).cast("B")
 
 
 def write_history(path: str | Path, history: list[dict]) -> None:

@@ -4,6 +4,7 @@ early stopping control flow, and run-to-run determinism."""
 
 import json
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -436,18 +437,23 @@ def test_a_backward_holds_each_trainable_gradient_about_once():
 # fit: early stopping control flow
 
 
-def _fit_with_fake_scores(monkeypatch, scores, **cfg_kw):
-    """Run fit with evaluate_split faked to emit the given macro-F1 series."""
+def _scored(macro, threshold):
+    """evaluate_split's (loss, report) with the report's macro-F1 set to `macro`."""
     from stutterkit.evaluator import f1_report
 
+    report = f1_report([(1, 0, 0, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)], threshold=threshold)
+    object.__setattr__(report, "macro_f1", macro)
+    return 0.5, report
+
+
+def _fit_with_fake_scores(monkeypatch, scores, **cfg_kw):
+    """Run fit with evaluate_split faked to emit the given macro-F1 series."""
     calls = {"n": 0}
 
     def fake(examples, registry, model_cfg, threshold):
         macro = scores[min(calls["n"], len(scores) - 1)]
         calls["n"] += 1
-        report = f1_report([(1, 0, 0, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)], threshold=threshold)
-        object.__setattr__(report, "macro_f1", macro)
-        return 0.5, report
+        return _scored(macro, threshold)
 
     monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
     reg = build_registry(TINY, seed=8)
@@ -510,6 +516,115 @@ def test_fit_restores_best_epoch_weights(monkeypatch):
     assert len(history) == 4
     assert np.array_equal(best["classifier.b"], snapshots[1])
     assert not np.array_equal(best["classifier.b"], snapshots[-1])
+
+
+_TemporaryFile = tempfile.TemporaryFile  # the tests below patch the module's
+
+
+class _CountingFile:
+    """A real temporary file that counts the bytes written to and read from
+    it; `short` makes each readinto fill one byte less than it was asked."""
+
+    def __init__(self, counts, short=False):
+        self.file, self.counts, self.short = _TemporaryFile(), counts, short
+        counts.update(written=0, read=0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def write(self, data):
+        n = self.file.write(data)
+        self.counts["written"] += n
+        return n
+
+    def readinto(self, buffer):
+        n = self.file.readinto(memoryview(buffer)[: len(buffer) - self.short])
+        self.counts["read"] += n
+        return n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", ["UnFrz0-1", "Frz0-0+FrzFE"])
+def test_fit_reads_the_best_epoch_back_into_the_same_arrays(monkeypatch, spec, dtype):
+    reg = apply_freeze(build_registry(TINY, seed=62, dtype=dtype), parse_freeze_spec(spec, 2))
+    arrays = {name: e.value for name, e in reg.items()}
+    initial = {name: e.value.copy() for name, e in reg.items()}
+    trainable = [name for name, e in reg.items() if e.trainable]
+    seen = []
+
+    def fake(examples, registry, model_cfg, threshold):
+        seen.append({name: registry[name].copy() for name in trainable})
+        return _scored([0.3, 0.9, 0.1, 0.1][len(seen) - 1], threshold)
+
+    monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
+    counts = {}
+    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: _CountingFile(counts))
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=2, max_epochs=50, early_stop_patience=2)
+    best, history = fit(_examples(4, seed=63), _examples(2, seed=64), reg, TINY, cfg)
+    assert best is reg and [row["improved"] for row in history] == [True, True, False, False]
+    trainable_bytes = sum(initial[name].nbytes for name in trainable)
+    assert counts == {"written": 2 * trainable_bytes, "read": trainable_bytes}
+    for name, e in reg.items():
+        assert e.value is arrays[name], name
+        assert np.array_equal(e.value, seen[1][name] if e.trainable else initial[name]), name
+    assert any(not np.array_equal(reg[name], seen[-1][name]) for name in trainable)
+
+
+@pytest.mark.parametrize("scores, cfg_kw, epochs, written", [
+    ([0.5], dict(max_epochs=1), 1, 0),
+    ([0.1, 0.2, 0.3], dict(max_epochs=3), 3, 2),
+    ([0.1, 0.2, 0.3], dict(max_epochs=50, max_steps=4), 2, 1),
+], ids=["one-epoch", "improves-to-max-epochs", "improves-to-max-steps"])
+def test_fit_writes_no_snapshot_of_its_last_epoch(monkeypatch, scores, cfg_kw, epochs, written):
+    """An improving epoch writes the trainable bytes only when another epoch
+    may follow; when the best epoch is the last one run nothing is read."""
+    counts = {}
+    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: _CountingFile(counts))
+    history = _fit_with_fake_scores(monkeypatch, scores, **cfg_kw)
+    reg = build_registry(TINY, seed=8)
+    assert len(history) == epochs and all(row["improved"] for row in history)
+    assert counts == {"written": written * reg.total_count() * reg.dtype.itemsize, "read": 0}
+
+
+def test_fit_refuses_a_short_snapshot_read(monkeypatch):
+    """A snapshot that reads back short raises an OSError naming the tensor,
+    instead of returning a registry partly restored."""
+    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile",
+                        lambda: _CountingFile({}, short=True))
+    first = build_registry(TINY, seed=8).names()[0]
+    with pytest.raises(OSError, match=f"short read restoring {first!r}"):
+        _fit_with_fake_scores(monkeypatch, [0.9, 0.1], max_epochs=50, early_stop_patience=1)
+
+
+def test_fit_holds_no_second_copy_of_the_trainable_weights(monkeypatch):
+    """Between steps fit holds Adam's two moments beside the registry it
+    trains; the best epoch's weights wait in a temporary file. An in-memory
+    copy of them took the traced memory held to about 3x the trainable bytes."""
+    reg = apply_freeze(build_registry(WIDE_D, seed=65), parse_freeze_spec("UnFrz0-3", 4))
+    trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
+    held = []
+
+    def fake(examples, registry, model_cfg, threshold):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _scored(0.1 * len(held), threshold)
+
+    monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=2, max_epochs=3, early_stop_patience=3)
+    train, val = _examples(2, cfg=WIDE_D, seed=66, t=64), _examples(1, cfg=WIDE_D, seed=67, t=64)
+    tracemalloc.start()
+    try:
+        best, history = fit(train, val, reg, WIDE_D, cfg)
+        held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert best is reg and [row["improved"] for row in history] == [True] * 3
+    assert max(held) < 2.5 * trainable_bytes, (held, trainable_bytes)
 
 
 def test_fit_max_steps_caps_optimizer_steps():
@@ -621,9 +736,10 @@ WIDE_FFN = tiny_model_config(d_model=16, d_ffn=2048, n_mels=4, max_positions=8)
 
 
 def test_fit_keeps_no_copy_of_frozen_tensors(monkeypatch):
-    """Between steps fit holds the trainable tensors' snapshot, Adam moments
-    and the validation prefix outputs, and returns the registry it trained,
-    so traced memory stays far below one copy of the frozen weights."""
+    """Between steps fit holds Adam moments and the validation prefix outputs
+    (the best epoch's trainable tensors wait in a temporary file), and returns
+    the registry it trained, so traced memory stays far below one copy of the
+    frozen weights."""
     reg = _freeze("Frz0-1+FrzFE", seed=59, cfg=WIDE_FFN)
     frozen_bytes = sum(e.value.nbytes for _, e in reg.items() if not e.trainable)
     trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
