@@ -13,6 +13,7 @@ import importlib.util
 import json
 import math
 import sys
+import tempfile
 import wave
 
 import numpy as np
@@ -401,3 +402,35 @@ def load_tool(path):
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+_TemporaryFile = tempfile.TemporaryFile  # tests patch the module's
+
+
+class SnapshotFileSpy:
+    """A stand-in for tempfile.TemporaryFile: a real temporary file that
+    counts the bytes written to and read from it into `counts`; `short`
+    makes each readinto fill one byte less than it was asked."""
+
+    def __init__(self, counts, short=False):
+        self.file, self.counts, self.short = _TemporaryFile(), counts, short
+        counts.update(written=0, read=0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def write(self, data):
+        n = self.file.write(data)
+        self.counts["written"] += n
+        return n
+
+    def readinto(self, buffer):
+        n = self.file.readinto(memoryview(buffer)[: len(buffer) - self.short])
+        self.counts["read"] += n
+        return n

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    SnapshotFileSpy,
     curation_fixture,
     edit_checkpoint_tensors,
     inventory_row,
@@ -435,10 +436,10 @@ def test_train_artifacts_and_log(pipeline, capsys):
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["freeze"] == "Frz0-1+FrzFE"
     assert manifest["extra"]["trainable_parameters"] == 314  # head only at this width
-    _assert_records_threads(manifest)
+    _assert_model_run_extra(manifest)
 
 
-def _assert_records_threads(manifest):
+def _assert_model_run_extra(manifest):
     """The commands that run the model record their thread setup, their wall
     time and their peak resident memory (null without /proc)."""
     assert manifest["extra"]["gemm_workers"] == model.gemm_workers()
@@ -464,25 +465,12 @@ def test_train_exits_one_when_the_best_epoch_snapshot_cannot_be_written(
     """The first epoch improves and a second may follow, so it writes the
     snapshot; a full disk fails the run before any artifact is written."""
     _, data_dir, _, _ = pipeline
-    real = trainer.tempfile.TemporaryFile
 
-    class FullDisk:
-        def __init__(self):
-            self.file = real()
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.file.close()
-
-        def __getattr__(self, name):
-            return getattr(self.file, name)
-
+    class FullDisk(SnapshotFileSpy):
         def write(self, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(trainer.tempfile, "TemporaryFile", FullDisk)
+    monkeypatch.setattr(trainer.tempfile, "TemporaryFile", lambda: FullDisk({}))
     cfg_path = tmp_path / "two-epochs.cfg"
     write_config_file(cfg_path, **{**TINY_CFG, "max_steps": "none"})
     out = tmp_path / "run"
@@ -783,7 +771,7 @@ def test_eval_threshold_defaults_to_the_config_threshold(pipeline, tmp_path):
     assert json.loads((eval_dir / "eval_t0.3.json").read_text())["threshold"] == 0.3
     manifest = json.loads((eval_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["thresholds"] == [0.3]
-    _assert_records_threads(manifest)
+    _assert_model_run_extra(manifest)
 
 
 @pytest.mark.parametrize("threshold", ["nan", "2", "-1"])

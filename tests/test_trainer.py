@@ -4,7 +4,6 @@ early stopping control flow, and run-to-run determinism."""
 
 import json
 import math
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 import stutterkit.model as model_mod
 import stutterkit.trainer as trainer_mod
 from helpers import (
+    SnapshotFileSpy,
     finite_diff_check,
     hand_adam_trace,
     naive_bce,
@@ -518,37 +518,6 @@ def test_fit_restores_best_epoch_weights(monkeypatch):
     assert not np.array_equal(best["classifier.b"], snapshots[-1])
 
 
-_TemporaryFile = tempfile.TemporaryFile  # the tests below patch the module's
-
-
-class _CountingFile:
-    """A real temporary file that counts the bytes written to and read from
-    it; `short` makes each readinto fill one byte less than it was asked."""
-
-    def __init__(self, counts, short=False):
-        self.file, self.counts, self.short = _TemporaryFile(), counts, short
-        counts.update(written=0, read=0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def __getattr__(self, name):
-        return getattr(self.file, name)
-
-    def write(self, data):
-        n = self.file.write(data)
-        self.counts["written"] += n
-        return n
-
-    def readinto(self, buffer):
-        n = self.file.readinto(memoryview(buffer)[: len(buffer) - self.short])
-        self.counts["read"] += n
-        return n
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("spec", ["UnFrz0-1", "Frz0-0+FrzFE"])
 def test_fit_reads_the_best_epoch_back_into_the_same_arrays(monkeypatch, spec, dtype):
@@ -564,7 +533,7 @@ def test_fit_reads_the_best_epoch_back_into_the_same_arrays(monkeypatch, spec, d
 
     monkeypatch.setattr(trainer_mod, "evaluate_split", fake)
     counts = {}
-    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: _CountingFile(counts))
+    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: SnapshotFileSpy(counts))
     cfg = TrainConfig(learning_rate=1e-2, batch_size=2, max_epochs=50, early_stop_patience=2)
     best, history = fit(_examples(4, seed=63), _examples(2, seed=64), reg, TINY, cfg)
     assert best is reg and [row["improved"] for row in history] == [True, True, False, False]
@@ -585,7 +554,7 @@ def test_fit_writes_no_snapshot_of_its_last_epoch(monkeypatch, scores, cfg_kw, e
     """An improving epoch writes the trainable bytes only when another epoch
     may follow; when the best epoch is the last one run nothing is read."""
     counts = {}
-    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: _CountingFile(counts))
+    monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile", lambda: SnapshotFileSpy(counts))
     history = _fit_with_fake_scores(monkeypatch, scores, **cfg_kw)
     reg = build_registry(TINY, seed=8)
     assert len(history) == epochs and all(row["improved"] for row in history)
@@ -596,7 +565,7 @@ def test_fit_refuses_a_short_snapshot_read(monkeypatch):
     """A snapshot that reads back short raises an OSError naming the tensor,
     instead of returning a registry partly restored."""
     monkeypatch.setattr(trainer_mod.tempfile, "TemporaryFile",
-                        lambda: _CountingFile({}, short=True))
+                        lambda: SnapshotFileSpy({}, short=True))
     first = build_registry(TINY, seed=8).names()[0]
     with pytest.raises(OSError, match=f"short read restoring {first!r}"):
         _fit_with_fake_scores(monkeypatch, [0.9, 0.1], max_epochs=50, early_stop_patience=1)
