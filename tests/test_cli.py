@@ -716,21 +716,30 @@ def test_peak_memory_does_not_grow_with_the_manifest(tmp_path, capsys, command):
     model_cfg, _, feat_cfg = cli._resolve_configs(str(cfg_path))
     ckpt = tmp_path / "init.bin"
     model.save_checkpoint(ckpt, model.build_registry(model_cfg, seed=0), model_cfg)
-    manifests = {n: _write_noise_split(tmp_path / f"n{n}", n, seed=n) for n in (8, 64)}
+    seeds = iter(range(1000))
 
-    def run(n, out):
-        inputs = {"train": [manifests[n], manifests[n]], "eval": [ckpt, manifests[n]]}[command]
+    def run(n):
+        # Every run reads a manifest of its own (new paths, new clips), so
+        # memory that an earlier run left cached by path or content still
+        # counts in the run that reads new clips.
+        seed = next(seeds)
+        manifest = _write_noise_split(tmp_path / f"n{n}-{seed}", n, seed=seed)
+        inputs = {"train": [manifest, manifest], "eval": [ckpt, manifest]}[command]
         options = ["--freeze", "UnFrz0-1"] if command == "train" else []
-        argv = [command, *map(str, inputs), str(tmp_path / out), "--config", str(cfg_path)]
-        assert main([*argv, *options]) == 0
+        argv = [command, *map(str, inputs), str(tmp_path / f"out{seed}"), "--config", str(cfg_path)]
 
-    run(8, "warm-up")  # one-off allocations (caches, lazy imports) stay out of the peaks
+        def call():
+            assert main([*argv, *options]) == 0
+
+        return _traced_peak(call)
+
+    run(8)  # one-off allocations (caches, lazy imports) stay out of the peaks
     # Each size runs twice and keeps its lower peak: now and then the
     # interpreter rebuilds a table of its own (once seen: a 1.92 MB string-keyed
     # dict table, whose older table predates tracing) within one run, while
-    # memory that grows with the manifest shows in every run.
-    peak_8, peak_64 = (min(_traced_peak(lambda: run(n, f"out{n}-{i}")) for i in range(2))
-                       for n in (8, 64))
+    # memory that grows with the manifest, or is kept across runs for the
+    # clips a run reads, shows in every run.
+    peak_8, peak_64 = (min(run(n) for _ in range(2)) for n in (8, 64))
     spectrogram_bytes = feat_cfg.n_mels * feat_cfg.chunk_frames * np.dtype(model.DTYPE).itemsize
     assert peak_64 - peak_8 < spectrogram_bytes, (peak_8, peak_64, spectrogram_bytes)
 
