@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .headers import read_config, read_header, write_file
+from .headers import read_arrays, read_config, read_header, write_file
 
 SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
@@ -276,12 +276,12 @@ def featurize(clip: AudioClip, cfg: FeaturizerConfig) -> LogMelSpectrogram:
 
 
 # ---------------------------------------------------------------------------
-# Spectrogram dumps: one-line JSON header, then little-endian f32 row-major values
+# Spectrogram dumps
 
 
 def dump_spectrogram(path: str | Path, spec: LogMelSpectrogram, cfg: FeaturizerConfig) -> None:
     header = {"n_mels": spec.n_mels, "n_frames": spec.n_frames, "config": asdict(cfg)}
-    write_file(path, header, [np.ascontiguousarray(spec.values, dtype="<f4")])
+    write_file(path, header, [spec.values])
 
 
 def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerConfig]:
@@ -289,22 +289,16 @@ def load_spectrogram(path: str | Path) -> tuple[LogMelSpectrogram, FeaturizerCon
 
     Raises CorruptFile unless the header holds a valid FeaturizerConfig
     (exactly its fields, each of its type) and int sizes that match it, and
-    the blob holds exactly that many finite float32 values."""
+    the blob holds exactly that many finite values (headers.read_arrays)."""
     with open(path, "rb") as f:
         header = read_header(f, path, CorruptFile, ("n_mels", "n_frames", "config"))
-        blob = f.read()
-    cfg = read_config(FeaturizerConfig, header["config"], CorruptFile)
-    n_mels, n_frames = header["n_mels"], header["n_frames"]
-    if type(n_mels) is not int or type(n_frames) is not int:
-        raise CorruptFile(f"{path}: n_mels and n_frames must be ints")
-    if (n_mels, n_frames) != (cfg.n_mels, cfg.chunk_frames):
-        raise CorruptFile(
-            f"{path}: {n_mels}x{n_frames} values, config makes {cfg.n_mels}x{cfg.chunk_frames}"
-        )
-    expected = 4 * n_mels * n_frames
-    if len(blob) != expected:
-        raise CorruptFile(f"{path}: expected {expected} value bytes, found {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(n_mels, n_frames)
-    if not np.isfinite(values).all():
-        raise CorruptFile(f"{path}: non-finite values")
-    return LogMelSpectrogram(values=values), cfg
+        cfg = read_config(FeaturizerConfig, header["config"], CorruptFile)
+        n_mels, n_frames = header["n_mels"], header["n_frames"]
+        if type(n_mels) is not int or type(n_frames) is not int:
+            raise CorruptFile(f"{path}: n_mels and n_frames must be ints")
+        if (n_mels, n_frames) != (cfg.n_mels, cfg.chunk_frames):
+            raise CorruptFile(
+                f"{path}: {n_mels}x{n_frames} values, config makes {cfg.n_mels}x{cfg.chunk_frames}"
+            )
+        [values] = read_arrays(f, path, {"values": (n_mels, n_frames)}, CorruptFile)
+    return LogMelSpectrogram(values=values.astype(np.float64)), cfg

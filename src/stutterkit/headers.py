@@ -1,11 +1,18 @@
-"""JSON on disk: the one-line header that starts a checkpoint or a `.melspec`
-dump, and the layout of every JSON report (`write_json`)."""
+"""Files on disk. A checkpoint or a `.melspec` dump is a one-line sorted-key
+JSON header, then its arrays' values back to back as C-ordered little-endian
+float32 (write_file, read_arrays); write_json lays out every JSON report."""
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+
+_STORED = np.dtype("<f4")  # every stored value: little-endian float32
 
 
 def write_json(path, obj) -> None:
@@ -13,13 +20,29 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_file(path, header: dict, blob) -> None:
-    """Write `header` as one line of sorted-key JSON, then the buffers of
-    `blob` (an iterable of bytes-like objects, e.g. contiguous arrays) back
-    to back, each straight from its memory."""
+def write_file(path, header: dict, arrays) -> None:
+    """`header` as one line of sorted-key JSON, then each of `arrays` as C-ordered
+    _STORED values, written straight from an array already in that layout."""
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.writelines(blob)
+        f.writelines(np.ascontiguousarray(a, dtype=_STORED) for a in arrays)
+
+
+def read_arrays(f, path, shapes: dict[str, tuple[int, ...]], error: type[Exception]) -> list:
+    """The arrays of `shapes` (name -> shape, in file order) after the header
+    f has read; `error`, before any is allocated, unless the rest of the file
+    is exactly their bytes, and on a short read or a NaN or infinity."""
+    found = os.fstat(f.fileno()).st_size - f.tell()
+    needed = _STORED.itemsize * sum(math.prod(shape) for shape in shapes.values())
+    if found != needed:
+        raise error(f"{path}: {found} value bytes after the header, not {needed}")
+    arrays = [np.empty(shape, _STORED) for shape in shapes.values()]
+    for name, value in zip(shapes, arrays):
+        if f.readinto(value) != value.nbytes:
+            raise error(f"{path}: values truncated at {name!r}")
+        if not np.isfinite(value).all():
+            raise error(f"{path}: non-finite value in {name!r}")
+    return arrays
 
 
 def read_header(f, path, error: type[Exception], keys: tuple[str, ...]) -> dict:

@@ -54,10 +54,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .headers import read_config, read_header, write_file
+from .headers import read_arrays, read_config, read_header, write_file
 from .labels import N_CLASSES
 
-DTYPE = np.float32  # build_registry's default and the checkpoint's storage dtype
+DTYPE = np.float32  # build_registry's default, and the dtype a checkpoint stores (headers)
 LN_EPS = 1e-5
 
 FEATURE_EXTRACTOR = "feature_extractor"
@@ -397,8 +397,11 @@ if hasattr(os, "register_at_fork"):
 
 
 def _split_work(fn, n: int) -> None:
-    """fn(slice) over the two halves of range(n): the first on the worker,
-    the second here."""
+    """fn(slice) over the two halves of range(n) when the worker runs, the
+    first on the worker and the second here; else fn(slice(None)), once: on
+    one thread two half-products pack the weight twice, 5-11% slower than one."""
+    if not gemm_workers():
+        return fn(slice(None))
     first = _Task(fn, slice(0, n // 2))
     fn(slice(n // 2, n))
     first.wait()
@@ -411,14 +414,11 @@ MIN_SPLIT_ROWS = 8
 
 
 def _row_halves(fn, x: np.ndarray) -> None:
-    """fn(slice) over x's row halves through _split_work when the worker runs
-    and x is a C-ordered matrix whose halves have MIN_SPLIT_ROWS rows each;
-    else fn(slice(None)). On one thread two half-products pack the weight
-    twice, 5-11% slower than one whole product."""
-    if gemm_workers() and x.ndim == 2 and x.flags.c_contiguous and len(x) >= 2 * MIN_SPLIT_ROWS:
-        _split_work(fn, len(x))
-    else:
-        fn(slice(None))
+    """_split_work(fn, len(x)) when x is a C-ordered matrix whose halves have
+    MIN_SPLIT_ROWS rows each; else fn(slice(None))."""
+    if x.ndim == 2 and x.flags.c_contiguous and len(x) >= 2 * MIN_SPLIT_ROWS:
+        return _split_work(fn, len(x))
+    fn(slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -981,13 +981,12 @@ def backward_pass(dlogits, cache, registry, cfg, into=None):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one-line JSON manifest, then each tensor's little-endian f32
-# bytes back to back in layout order
+# Checkpoints
 
 
 def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelConfig) -> None:
     """Header {config, tensors: [{name, shape, trainable}]} in registry order,
-    then each tensor's little-endian float32 bytes, written from the array.
+    then each tensor's values (headers.write_file), written from the array.
     ShapeMismatch, before the file is opened, unless the registry's names and
     shapes are exactly cfg's layout in order (what load_checkpoint requires)."""
     tensors = registry.items()
@@ -997,7 +996,7 @@ def save_checkpoint(path: str | Path, registry: ParameterRegistry, cfg: ModelCon
         {"config": asdict(cfg),
          "tensors": [{"name": n, "shape": list(e.value.shape), "trainable": e.trainable}
                      for n, e in tensors]},
-        (np.ascontiguousarray(e.value, dtype="<f4") for _, e in tensors),
+        (e.value for _, e in tensors),
     )
 
 
@@ -1024,7 +1023,6 @@ def _descriptor_ok(desc) -> bool:
 def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
     """Float32 registry laid out by param_specs(config), read from a checkpoint.
 
-    The blob is each tensor's float32 bytes back to back in layout order.
     Raises CorruptCheckpoint if the header is not the JSON object
     save_checkpoint writes (config and tensor descriptors), if the config is
     not exactly a valid ModelConfig, if the blob's size is not the layout's
@@ -1038,19 +1036,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterRegistry, ModelConfig]:
         cfg = read_config(ModelConfig, manifest["config"], CorruptCheckpoint)
         if not all(_descriptor_ok(desc) for desc in manifest["tensors"]):
             raise CorruptCheckpoint(f"checkpoint {path}: malformed tensor descriptor")
-        specs = param_specs(cfg)
-        _check_layout([(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]],
-                      cfg, f"checkpoint {path}")
-        blob_bytes = os.fstat(f.fileno()).st_size - f.tell()
-        layout_bytes = 4 * sum(math.prod(shape) for _, shape, _ in specs)
-        if blob_bytes != layout_bytes:
-            raise CorruptCheckpoint(f"checkpoint {path}: {blob_bytes} blob bytes, not {layout_bytes}")
-        reg = ParameterRegistry()
-        for (name, shape, group), desc in zip(specs, manifest["tensors"]):
-            value = np.empty(shape, dtype="<f4")
-            if f.readinto(value) != value.nbytes:
-                raise CorruptCheckpoint(f"checkpoint blob truncated at tensor {name!r}")
-            if not np.isfinite(value).all():
-                raise CorruptCheckpoint(f"checkpoint {path}: non-finite value in {name!r}")
-            reg.add(name, value, group, desc["trainable"])
+        stored = [(desc["name"], tuple(desc["shape"])) for desc in manifest["tensors"]]
+        _check_layout(stored, cfg, f"checkpoint {path}")
+        values = read_arrays(f, f"checkpoint {path}", dict(stored), CorruptCheckpoint)
+    reg = ParameterRegistry()
+    for (name, _, group), desc, value in zip(param_specs(cfg), manifest["tensors"], values):
+        reg.add(name, value, group, desc["trainable"])
     return reg, cfg

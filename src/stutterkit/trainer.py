@@ -274,7 +274,7 @@ def fit(
                 if not last:
                     snapshot.seek(0)
                     for name in trainable:
-                        snapshot.write(_raw_bytes(registry[name]))
+                        snapshot.write(registry[name])
                     snapshot.flush()
             else:
                 epochs_since_improvement += 1
@@ -296,16 +296,9 @@ def fit(
         if best_epoch != epoch:
             snapshot.seek(0)
             for name in trainable:
-                view = _raw_bytes(registry[name])
-                if snapshot.readinto(view) != view.nbytes:
+                if snapshot.readinto(registry[name]) != registry[name].nbytes:
                     raise OSError(f"best-epoch snapshot: short read restoring {name!r}")
     return registry, history
-
-
-def _raw_bytes(value: np.ndarray) -> memoryview:
-    """A flat byte view of a registry array's own memory (no copy)."""
-    assert value.flags.c_contiguous
-    return memoryview(value).cast("B")
 
 
 def write_history(path: str | Path, history: list[dict]) -> None:

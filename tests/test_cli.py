@@ -26,6 +26,7 @@ from helpers import (
     edit_checkpoint_tensors,
     inventory_row,
     load_tool,
+    traced_memory,
     write_config_file,
     write_inventory_csv,
     write_tone_wav,
@@ -700,15 +701,6 @@ MEMORY_CFG = {**TINY_CFG, "n_mels": 80, "chunk_length_s": 6.0, "max_positions": 
               "batch_size": 2, "max_steps": 1}
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_peak_memory_does_not_grow_with_the_manifest(tmp_path, capsys, command):
     cfg_path = tmp_path / "m.cfg"
@@ -731,7 +723,7 @@ def test_peak_memory_does_not_grow_with_the_manifest(tmp_path, capsys, command):
         def call():
             assert main([*argv, *options]) == 0
 
-        return _traced_peak(call)
+        return traced_memory(call, runs=1)[1]
 
     run(8)  # one-off allocations (caches, lazy imports) stay out of the peaks
     # Each size runs twice and keeps its lower peak: now and then the

@@ -20,6 +20,7 @@ from helpers import (
     naive_dft_magnitude,
     naive_log_mel,
     rewrite_header,
+    traced_memory,
     whole_chunk_log_mel,
     without,
     write_pcm_wav,
@@ -531,6 +532,21 @@ def test_spectrogram_load_rejects_corrupt_file(tmp_path, corrupt):
     rewrite_header(path, corrupt)
     with pytest.raises(CorruptFile):
         load_spectrogram(path)
+
+
+def test_spectrogram_load_refuses_a_long_tail_before_reading_it(tmp_path):
+    """A valid dump followed by 32 MB of zero bytes is refused from its size:
+    reading everything after the header first took the traced peak to 64 MB."""
+    path = tmp_path / "clip.melspec"
+    dump_spectrogram(path, featurize(AudioClip(samples=np.zeros(CFG.chunk_samples) + 0.01), CFG), CFG)
+    os.truncate(path, path.stat().st_size + 32 * 2**20)
+
+    def load():
+        with pytest.raises(CorruptFile):
+            load_spectrogram(path)
+
+    _, peak = traced_memory(load)
+    assert peak < 8 * 2**20, peak
 
 
 def test_spectrogram_load_rejects_truncated(tmp_path):

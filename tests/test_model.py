@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from helpers import (
     oracle_forward,
     rewrite_header,
     tiny_model_config,
+    traced_memory,
     without,
 )
 from stutterkit.model import (
@@ -683,12 +683,7 @@ def test_save_checkpoint_writes_without_copying_the_weights(tmp_path):
     reg = build_registry(cfg, seed=40)
     weight_bytes = sum(e.value.nbytes for _, e in reg.items())
     assert weight_bytes > 2_000_000
-    tracemalloc.start()
-    try:
-        save_checkpoint(tmp_path / "w.ckpt", reg, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_memory(lambda: save_checkpoint(tmp_path / "w.ckpt", reg, cfg))
     assert peak < 0.1 * weight_bytes
 
 
@@ -1285,6 +1280,34 @@ def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
     kinds = [fn.__qualname__.split(".")[0] for fn in on_worker]
     assert kinds.count("_linear_fwd") == 6 * cfg.n_layers
     assert kinds.count("_gelu_fwd") == kinds.count("_attention_core_fwd") == cfg.n_layers
+
+
+def test_with_the_worker_off_the_heads_run_once_whole(monkeypatch):
+    """Without the worker, _split_work runs its work in one call over
+    slice(None): the attention heads of each layer's forward and backward,
+    and the row-split products, which reach it through _row_halves."""
+    cfg = tiny_model_config(n_heads=4, max_positions=16)
+    reg = build_registry(cfg, seed=62)
+    x = np.random.default_rng(63).uniform(-1, 1, size=(cfg.n_mels, 32))  # 16 positions
+    calls = []
+    split_work = model_mod._split_work
+
+    def logged_split_work(fn, n):
+        def logged(s):
+            calls.append((fn.__qualname__, s))
+            fn(s)
+
+        split_work(logged, n)
+
+    _set_worker(monkeypatch, False)
+    monkeypatch.setattr(model_mod, "_split_work", logged_split_work)
+    _, cache = forward_with_cache(x, reg, cfg)
+    backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
+    assert all(s == slice(None) for _, s in calls), calls
+    kinds = [name for name, _ in calls]
+    for core in ("_attention_core_fwd", "_attention_core_bwd"):
+        assert kinds.count(f"{core}.<locals>.heads") == cfg.n_layers, kinds
+    assert kinds.count("_linear_fwd.<locals>.rows") == 6 * cfg.n_layers
 
 
 @pytest.mark.parametrize("dtype, tasks", [(np.float32, 1), (np.float64, 0)])

@@ -17,6 +17,7 @@ from helpers import (
     hand_adam_trace,
     naive_bce,
     tiny_model_config,
+    traced_memory,
 )
 from stutterkit.evaluator import sigmoid
 from stutterkit.model import (
@@ -386,16 +387,6 @@ def test_forward_split_resumed_from_any_layer_equals_the_full_pass():
 WIDE_T = tiny_model_config(d_model=32, d_ffn=64, n_mels=16, max_positions=128)
 
 
-def _traced(fn):
-    """(current, peak) bytes traced while fn runs and its result is held."""
-    tracemalloc.start()
-    try:
-        result = fn()  # noqa: F841 - held so `current` counts it
-        return tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("run", [
     lambda exs, reg: backward(exs, reg, WIDE_T),
     lambda exs, reg: evaluate_split(exs, reg, WIDE_T, threshold=0.5),
@@ -404,9 +395,9 @@ def _traced(fn):
 def test_one_forward_cache_alive_at_a_time(run):
     reg = build_registry(WIDE_T, seed=40)
     exs = _examples(3, cfg=WIDE_T, seed=41, t=256)
-    cache_bytes, _ = _traced(lambda: forward_with_cache(exs[0][0], reg, WIDE_T))
-    _, peak_one = _traced(lambda: run(exs[:1], reg))
-    _, peak_three = _traced(lambda: run(exs, reg))
+    cache_bytes, _ = traced_memory(lambda: forward_with_cache(exs[0][0], reg, WIDE_T))
+    _, peak_one = traced_memory(lambda: run(exs[:1], reg))
+    _, peak_three = traced_memory(lambda: run(exs, reg))
     assert peak_three - peak_one < cache_bytes / 2, (peak_one, peak_three, cache_bytes)
 
 
@@ -423,13 +414,7 @@ def test_a_backward_holds_each_trainable_gradient_about_once():
     batch = _examples(2, cfg=WIDE_D, seed=45, t=64)
     trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
     backward(batch, reg, WIDE_D)  # warm-up: first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        backward(batch, reg, WIDE_D)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_memory(lambda: backward(batch, reg, WIDE_D))
     assert peak < 1.6 * trainable_bytes, (peak, trainable_bytes)
 
 
