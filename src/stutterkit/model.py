@@ -6,6 +6,7 @@ self-attention encoder layers (pre- or post-norm), final layer norm, mean
 pooling over time, a linear projector, and a linear six-way classifier.
 Each conv pads time by one on either side, unfolds the kernel-3 patches
 into a [T/stride x C_in*3] matrix and runs one product with its weight.
+Every array past the spectrogram is C-contiguous and time-major, [T x C].
 
 All parameters live in a ParameterRegistry keyed by name and grouped into
 feature_extractor / encoder_layer_k / head so a freezing strategy is the
@@ -30,16 +31,16 @@ identical.
 
 When the BLAS runs one thread and the process may use two or more CPUs (see
 _worker_rule), one worker thread runs beside the caller. In the forward,
-every linear product of a [T x d] input (q, k, v, out, w1, w2) and the
-FFN's GELU run in two row halves, the first on the worker and the second on
-the caller, into one output the caller allocated; so do the two halves of
-the attention heads. In the backward the worker takes each linear's and
-conv's weight gradient while the caller takes the input gradient, and the
-first half of the heads. A row half of a product gives exactly the whole
-product's rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs
-run whole, as does the stem; every bit is the same with the worker on or
-off. Nothing else runs on the worker: the public functions, the trainer and
-Adam stay on the caller's thread.
+every linear product of a [T x d] input (q, k, v, out, w1, w2) and every
+GELU run in two row halves, the first on the worker and the second on the
+caller, into one output the caller allocated; so do the two halves of the
+attention heads. In the backward the worker takes each linear's and conv's
+weight gradient while the caller takes the input gradient, and the first
+half of the heads. A row half of a product gives exactly the whole product's
+rows once each half has MIN_SPLIT_ROWS (8) rows, so shorter inputs run
+whole, as do the stem's two products; every bit is the same with the worker
+on or off. Nothing else runs on the worker: the public functions, the
+trainer and Adam stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -414,9 +415,9 @@ MIN_SPLIT_ROWS = 8
 
 
 def _row_halves(fn, x: np.ndarray) -> None:
-    """_split_work(fn, len(x)) when x is a C-ordered matrix whose halves have
-    MIN_SPLIT_ROWS rows each; else fn(slice(None))."""
-    if x.ndim == 2 and x.flags.c_contiguous and len(x) >= 2 * MIN_SPLIT_ROWS:
+    """_split_work(fn, len(x)) when x's row halves have MIN_SPLIT_ROWS rows
+    each; else fn(slice(None))."""
+    if len(x) >= 2 * MIN_SPLIT_ROWS:
         return _split_work(fn, len(x))
     fn(slice(None))
 
@@ -444,14 +445,13 @@ BLOCK = 1 << 16
 
 def blocks(*arrays: np.ndarray):
     """Yield, BLOCK elements at a time, aligned flat views of same-shaped
-    arrays that are all C-contiguous or all F-contiguous, so an elementwise
-    chain over the views writes straight into the arrays. ValueError for an
-    array with another shape or layout: a copy would drop the writes."""
+    C-contiguous arrays, so an elementwise chain over the views writes
+    straight into the arrays. ValueError for an array with another shape or
+    layout: a copy would drop the writes."""
     shape = arrays[0].shape
-    order = "C" if all(a.flags.c_contiguous for a in arrays) else "F"
-    if any(a.shape != shape or not a.flags[f"{order}_CONTIGUOUS"] for a in arrays):
-        raise ValueError("blocks() needs same-shaped arrays, all C- or all F-contiguous")
-    flat = [a.reshape(-1, order=order) for a in arrays]
+    if any(a.shape != shape or not a.flags.c_contiguous for a in arrays):
+        raise ValueError("blocks() needs same-shaped C-contiguous arrays")
+    flat = [a.reshape(-1) for a in arrays]
     for start in range(0, flat[0].size, BLOCK):
         yield tuple(f[start : start + BLOCK] for f in flat)
 
@@ -488,7 +488,7 @@ def erf(x: np.ndarray) -> np.ndarray:
 
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """d GELU / dx = Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi), given phi =
-    Phi(x), the normal CDF that _gelu_fwd returns (of x's shape and layout)."""
+    Phi(x) from _gelu_fwd; x and phi C-contiguous, of one shape (blocks)."""
     g = np.empty_like(x)
     for xb, pb, gb in blocks(x, phi, g):
         np.multiply(xb, xb, out=gb)
@@ -513,7 +513,7 @@ def _gelu_fwd(z):
     Python object array (see _erf_inplace), which the worker must not
     allocate, and holds the GIL, so a split would not overlap anyway."""
     a, phi = np.empty_like(z), np.empty_like(z)
-    x2 = np.empty((2, min(z.size, BLOCK)), z.dtype)
+    x2 = np.empty((1 + gemm_workers(), min(z.size, BLOCK)), z.dtype)
 
     def rows(s):
         scratch = x2[1 if s.start else 0]  # the second half's row is its own
@@ -609,30 +609,30 @@ def _linear_bwd(dy, x, w, with_bias=True):
 
 
 def _conv_fwd(x, w, b, stride):
-    """The stem's conv (kernel 3, padding 1): x [C_in x T] -> (z, cols), z
-    the [C_out x T/stride] transpose of one C-ordered product and cols the
+    """The stem's conv (kernel 3, padding 1), time-major: x [T x C_in] ->
+    (z, cols), z the C-contiguous [T/stride x C_out] product and cols the
     unfolded [T/stride x C_in*3] patch matrix the backward reads."""
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (1, 1))), 3, axis=1)
-    cols = windows[:, ::stride].transpose(1, 0, 2).reshape(-1, 3 * len(x))
-    return (cols @ w.reshape(len(w), -1).T + b).T, cols
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((1, 1), (0, 0))), 3, axis=0)
+    cols = windows[::stride].reshape(-1, 3 * x.shape[1])
+    return cols @ w.reshape(len(w), -1).T + b, cols
 
 
 def _conv_bwd(dz, cols, w, stride, need_dx=True):
-    """(dx, dw, db) for _conv_fwd, dw on the worker; dx is None, and costs
+    """(dx, dw, db) for _conv_fwd, time-major: dz [T/stride x C_out] gives
+    a C-contiguous dx [T x C_in], and dw on the worker; dx is None, and costs
     nothing, unless need_dx. Each of the 3 taps adds its patch gradient back
-    at every stride-th column of the padded input."""
-    dz_t = dz.T  # [T/stride x C_out]
+    at every stride-th row of the padded input."""
     dw = np.empty(w.shape, np.result_type(dz, cols))
-    dw_done = _Task(np.matmul, dz, cols, out=dw.reshape(len(w), -1))
+    dw_done = _Task(np.matmul, dz.T, cols, out=dw.reshape(len(w), -1))
     dx = None
     if need_dx:
         t = stride * len(cols)
-        dcols = (dz_t @ w.reshape(len(w), -1)).reshape(len(cols), -1, 3)
-        dxp = np.zeros((w.shape[1], t + 2), dtype=dz_t.dtype)
+        dcols = (dz @ w.reshape(len(w), -1)).reshape(len(cols), -1, 3)
+        dxp = np.zeros((t + 2, w.shape[1]), dtype=dz.dtype)
         for j in range(3):
-            dxp[:, j : j + t : stride] += dcols[:, :, j].T
-        dx = dxp[:, 1 : t + 1]
-    db = dz_t.sum(axis=0)
+            dxp[j : j + t : stride] += dcols[:, :, j]
+        dx = dxp[1 : t + 1]
+    db = dz.sum(axis=0)
     dw_done.wait()
     return dx, dw, db
 
@@ -667,7 +667,7 @@ def _attention_core_bwd(dctx, cache, n_heads):
     dq, dk, dv = (np.empty(dctx.shape, dctx.dtype) for _ in range(3))
     dq3, dk3, dv3 = (_split_heads(a, n_heads) for a in (dq, dk, dv))
     dprobs = np.empty_like(probs)
-    products = np.empty((2, *probs.shape[1:]), probs.dtype)  # one [T x T] per half
+    products = np.empty((1 + gemm_workers(), *probs.shape[1:]), probs.dtype)  # [T x T] per half
 
     def heads(s):
         np.matmul(probs[s].transpose(0, 2, 1), dctx3[s], out=dv3[s])
@@ -692,8 +692,7 @@ def _attention_core_bwd(dctx, cache, n_heads):
 def conv_stem(spec_values: np.ndarray, registry: ParameterRegistry, cfg: ModelConfig) -> np.ndarray:
     """[n_mels x T] -> [T/2 x d_model]: conv(k3,s1,p1) + GELU, conv(k3,s2,p1) + GELU.
     ShapeMismatch unless check_frame_count accepts T."""
-    out, _ = _conv_stem_fwd(np.asarray(spec_values, dtype=registry.dtype), registry, cfg)
-    return out
+    return _conv_stem_fwd(np.asarray(spec_values, dtype=registry.dtype), registry, cfg)[0]
 
 
 def check_frame_count(n_frames: int, cfg: ModelConfig) -> None:
@@ -707,16 +706,16 @@ def check_frame_count(n_frames: int, cfg: ModelConfig) -> None:
 
 
 def _conv_stem_fwd(x, registry, cfg):
-    """[n_mels x T] -> ([T/2 x d_model], one (z, Phi(z), patches) per conv)."""
+    """[n_mels x T] -> ([T/2 x d_model], one (z, Phi(z), patches) per conv), run on x.T."""
     if x.ndim != 2 or x.shape[0] != cfg.n_mels:
         raise ShapeMismatch(f"expected [{cfg.n_mels} x T] input, got {x.shape}")
     check_frame_count(x.shape[1], cfg)
-    parts = []
+    x, parts = x.T, []
     for conv, stride in (("conv1", 1), ("conv2", 2)):
         z, cols = _conv_fwd(x, registry[f"{conv}.w"], registry[f"{conv}.b"], stride)
         x, phi = _gelu_fwd(z)
         parts.append((z, phi, cols))
-    return x.T, parts
+    return x, parts
 
 
 def _stem_cache(parts):
@@ -730,8 +729,9 @@ def _stem_cache(parts):
 def _conv_stem_bwd(dh, cache, registry):
     """conv1's input is the spectrogram, so its input gradient is not taken."""
     (dgelu1, cols1), (dgelu2, cols2) = cache
-    da1, dw2, db2 = _conv_bwd(dh.T * dgelu2, cols2, registry["conv2.w"], 2)
-    _, dw1, db1 = _conv_bwd(da1 * dgelu1, cols1, registry["conv1.w"], 1, need_dx=False)
+    da1, dw2, db2 = _conv_bwd(dh * dgelu2, cols2, registry["conv2.w"], 2)
+    dz1 = np.multiply(da1, dgelu1, order="F")  # the layout that set conv1's saved bits
+    _, dw1, db1 = _conv_bwd(dz1, cols1, registry["conv1.w"], 1, need_dx=False)
     return {"conv1.w": dw1, "conv1.b": db1, "conv2.w": dw2, "conv2.b": db2}
 
 
@@ -785,10 +785,9 @@ def encoder_layer_forward(
     x: np.ndarray, registry: ParameterRegistry, layer: int, cfg: ModelConfig
 ) -> np.ndarray:
     """One encoder layer. post: z = LN(y + FFN(y)), y = LN(x + Attn(x)).
-    pre: z = y + FFN(LN(y)), y = x + Attn(LN(x))."""
-    x = np.asarray(x, dtype=registry.dtype)
-    out, _ = _encoder_layer_fwd(x, _layer_tensors(registry, layer), cfg)
-    return out
+    pre: z = y + FFN(LN(y)), y = x + Attn(LN(x)). x is taken in C order."""
+    x = np.ascontiguousarray(x, dtype=registry.dtype)
+    return _encoder_layer_fwd(x, _layer_tensors(registry, layer), cfg)[0]
 
 
 def _check_finite(x, where):
@@ -873,17 +872,18 @@ def forward_prefix(
 ) -> LayerInput:
     """The input of encoder layer `stop` for a normalized [n_mels x T]
     spectrogram (layer 0: the conv stem plus positions) or a LayerInput, cast
-    to the registry's dtype. Before any work: ValueError unless
-    0 <= x.layer <= stop <= n_layers, ShapeMismatch unless a LayerInput's h is
-    [T x d_model] with 1 <= T <= max_positions, and NonFiniteInput for a NaN or
-    Inf in either input. If `caches` is given, the stem's backward cache (None
-    for a LayerInput) and then each layer's are appended to it; otherwise each
-    is freed as soon as its step is done."""
+    to the registry's dtype, and a LayerInput's h to C order. Before any work:
+    ValueError unless 0 <= x.layer <= stop <= n_layers, ShapeMismatch unless
+    a LayerInput's h is [T x d_model] with 1 <= T <= max_positions, and
+    NonFiniteInput for a NaN or Inf in either input. If `caches` is given, the
+    stem's backward cache (None for a LayerInput) and then each layer's are
+    appended to it; otherwise each is freed as soon as its step is done."""
     layer_input = isinstance(x, LayerInput)
     start = x.layer if layer_input else 0
     if not 0 <= start <= stop <= cfg.n_layers:
         raise ValueError(f"layers {start}..{stop} are not a range in 0..{cfg.n_layers}")
-    h, stem = np.asarray(x.h if layer_input else x, dtype=registry.dtype), None
+    as_input = np.ascontiguousarray if layer_input else np.asarray  # the stem reads x.T
+    h, stem = as_input(x.h if layer_input else x, dtype=registry.dtype), None
     if layer_input and (h.shape[1:] != (cfg.d_model,) or not 0 < len(h) <= cfg.max_positions):
         raise ShapeMismatch(f"layer input {h.shape} is not [1..{cfg.max_positions} x {cfg.d_model}]")
     if not np.all(np.isfinite(h)):

@@ -921,6 +921,28 @@ def test_time_command_reports_a_missing_peak_as_na(monkeypatch):
     assert tool.pairs_won(peaks) == {"parent": 0, "change": 1}
 
 
+def test_time_command_fixes_glibc_thresholds_for_the_timed_child_only(monkeypatch, tmp_path):
+    """The timed child runs with glibc's mmap and trim thresholds at 128 KiB,
+    so its VmHWM does not follow the heap's history; the tool's own
+    environment keeps what it had."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))  # time_command imports bench_pairs
+    tool = load_tool(tools / "time_command.py")
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        monkeypatch.delenv(name, raising=False)
+    seen = {}
+
+    def stopped(argv, env, **kwargs):
+        seen.update(env)
+        return subprocess.CompletedProcess(argv, 1, "", "stopped before the command ran")
+
+    monkeypatch.setattr(tool.subprocess, "run", stopped)
+    with pytest.raises(tool.RunFailed):
+        tool.run_once(tmp_path, ["eval"], tmp_path / "work")
+    assert seen["MALLOC_MMAP_THRESHOLD_"] == seen["MALLOC_TRIM_THRESHOLD_"] == "131072"
+    assert "MALLOC_MMAP_THRESHOLD_" not in os.environ and "MALLOC_TRIM_THRESHOLD_" not in os.environ
+
+
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):
     root, data_dir, _, run_dir = pipeline
     rc = main([

@@ -64,6 +64,7 @@ from stutterkit.model import (
 from stutterkit.model import (
     BLAS_THREAD_VARS,
     BLOCK,
+    _attention_core_bwd,
     _attention_core_fwd,
     _conv_fwd,
     _ffn_sublayer_fwd,
@@ -1025,7 +1026,7 @@ def test_backward_gelu_terms_come_from_the_forward_cache(dtype):
     x = np.random.default_rng(6).uniform(-1, 1, size=(TINY.n_mels, 8)).astype(dtype)
     _, (stem, layers, _) = forward_with_cache(x, reg, TINY)
     (dgelu1, _), (dgelu2, _) = stem
-    z1 = _conv_fwd(x, reg["conv1.w"], reg["conv1.b"], 1)[0]
+    z1 = _conv_fwd(x.T, reg["conv1.w"], reg["conv1.b"], 1)[0]  # the stem runs time-major
     z2 = _conv_fwd(_gelu_fwd(z1)[0], reg["conv2.w"], reg["conv2.b"], 2)[0]
     assert dgelu1.dtype == dgelu2.dtype == dtype
     assert np.array_equal(dgelu1, gelu_grad(z1, _gelu_fwd(z1)[1]))
@@ -1059,25 +1060,26 @@ def _unblocked_gelu_grad(x, phi):
 
 
 def _stem_activation(dtype):
-    """conv1's output at paper width over 600 frames: F-ordered, 4.7 blocks."""
+    """conv1's output at paper width over 600 frames: time-major and
+    C-ordered, [600 x 512], 4.7 blocks."""
     reg = build_registry(ModelConfig(n_layers=1), seed=21, dtype=dtype)
-    x = np.random.default_rng(22).uniform(-1, 1, size=(80, 600)).astype(dtype)
+    x = np.random.default_rng(22).uniform(-1, 1, size=(600, 80)).astype(dtype)
     z = _conv_fwd(x, reg["conv1.w"], reg["conv1.b"], 1)[0]
-    assert z.flags.f_contiguous and not z.flags.c_contiguous
+    assert z.shape == (600, 512) and z.flags.c_contiguous
     return z
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("size", ["one-element", "block", "block+1", "odd-2d", "f-ordered"])
+@pytest.mark.parametrize("size", ["one-element", "block", "block+1", "odd-2d", "stem-activation"])
 def test_blocked_gelu_kernels_equal_the_whole_array_chain(size, dtype):
     rng = np.random.default_rng(23)
-    if size == "f-ordered":
+    if size == "stem-activation":
         z = _stem_activation(dtype)
     else:
         shape = {"one-element": (1,), "block": (BLOCK,), "block+1": (BLOCK + 1,),
                  "odd-2d": (3, BLOCK // 2 + 7)}[size]
         z = rng.normal(scale=3.0, size=shape).astype(dtype)
-    before = z.copy(order="K")
+    before = z.copy()
     a, phi = _gelu_fwd(z)
     want_a, want_phi = _unblocked_gelu(z)
     assert a.dtype == phi.dtype == dtype
@@ -1088,22 +1090,20 @@ def test_blocked_gelu_kernels_equal_the_whole_array_chain(size, dtype):
 
 def test_blocks_yields_aligned_views_that_write_through():
     c = np.arange(3 * (BLOCK // 2 + 1), dtype=np.float32).reshape(3, -1)
-    f = np.asfortranarray(c)
-    out_c, out_f = np.zeros_like(c), np.zeros_like(f)
+    out = np.zeros_like(c)
     sizes = []
-    for (cb, ob), (fb, pb) in zip(blocks(c, out_c), blocks(f, out_f)):
+    for cb, ob in blocks(c, out):
         sizes.append(cb.size)
         np.multiply(cb, 2.0, out=ob)
-        np.multiply(fb, 2.0, out=pb)
     assert sizes == [BLOCK, BLOCK // 2 + 3]
-    assert np.array_equal(out_c, 2.0 * c) and np.array_equal(out_f, 2.0 * c)
+    assert np.array_equal(out, 2.0 * c)
 
 
 @pytest.mark.parametrize(
     "arrays",
     [lambda a: (a[:, ::2],), lambda a: (a, np.zeros((3, 16), a.dtype)[:, ::2]),
-     lambda a: (a, np.asfortranarray(a)), lambda a: (a, a[:2])],
-    ids=["strided", "strided-second", "mixed-c-and-f", "other-shape"],
+     lambda a: (a, np.asfortranarray(a)), lambda a: (a, a[:2]), lambda a: (np.asfortranarray(a),)],
+    ids=["strided", "strided-second", "mixed-c-and-f", "other-shape", "f-ordered"],
 )
 def test_blocks_refuses_what_it_cannot_write_through(arrays):
     a = np.zeros((3, 8), dtype=np.float32)
@@ -1247,7 +1247,8 @@ def test_short_clips_give_the_same_bits_with_the_worker_on_and_off(dtype, monkey
 
 def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
     """Each layer's q, k, v, out, w1 and w2 products and its GELU run one row
-    half on the worker, and so do the attention heads; the stem runs here."""
+    half on the worker, and so do the attention heads and the stem's two
+    GELUs; the stem's two products run whole here."""
     cfg = tiny_model_config(max_positions=16)
     reg = build_registry(cfg, seed=62)
     x = np.random.default_rng(63).uniform(-1, 1, size=(cfg.n_mels, 32))  # 16 positions
@@ -1279,7 +1280,8 @@ def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
                                      for key in products)
     kinds = [fn.__qualname__.split(".")[0] for fn in on_worker]
     assert kinds.count("_linear_fwd") == 6 * cfg.n_layers
-    assert kinds.count("_gelu_fwd") == kinds.count("_attention_core_fwd") == cfg.n_layers
+    assert kinds.count("_attention_core_fwd") == cfg.n_layers
+    assert kinds.count("_gelu_fwd") == cfg.n_layers + 2
 
 
 def test_with_the_worker_off_the_heads_run_once_whole(monkeypatch):
@@ -1308,6 +1310,38 @@ def test_with_the_worker_off_the_heads_run_once_whole(monkeypatch):
     for core in ("_attention_core_fwd", "_attention_core_bwd"):
         assert kinds.count(f"{core}.<locals>.heads") == cfg.n_layers, kinds
     assert kinds.count("_linear_fwd.<locals>.rows") == 6 * cfg.n_layers
+
+
+def test_with_the_worker_off_the_attention_backward_holds_one_scratch(monkeypatch):
+    """With the worker off the heads run in one call, which needs one [T x T]
+    scratch for its row sums: the traced peak holds dq, dk, dv, the
+    [heads x T x T] dprobs and that one scratch, not one per head half."""
+    t, d, n_heads = 300, 8, 2
+    rng = np.random.default_rng(65)
+    q, k, v, dctx = (rng.normal(size=(t, d)) for _ in range(4))
+    _set_worker(monkeypatch, False)
+    _, cache = _attention_core_fwd(q, k, v, n_heads)
+    _, peak = traced_memory(lambda: _attention_core_bwd(dctx, cache, n_heads))
+    square = t * t * 8
+    assert peak < 3 * t * d * 8 + (n_heads + 1.5) * square, peak / square
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("placement", ["pre", "post"])
+def test_a_layer_input_gives_the_same_bits_in_c_and_f_order(placement, dtype, on, monkeypatch):
+    """forward of a LayerInput and encoder_layer_forward copy an input in
+    another layout to C order once, so an F-ordered one gives the C-ordered
+    one's logits and layer output, bit for bit."""
+    cfg = tiny_model_config(d_model=64, n_heads=4, d_ffn=128, max_positions=32,
+                            norm_placement=placement)
+    reg = build_registry(cfg, seed=66, dtype=dtype)
+    c = np.random.default_rng(67).uniform(-1, 1, size=(20, cfg.d_model)).astype(dtype)
+    f = np.asfortranarray(c)
+    assert not f.flags.c_contiguous
+    _set_worker(monkeypatch, on)
+    assert np.array_equal(forward(LayerInput(1, f), reg, cfg), forward(LayerInput(1, c), reg, cfg))
+    assert np.array_equal(encoder_layer_forward(f, reg, 0, cfg), encoder_layer_forward(c, reg, 0, cfg))
 
 
 @pytest.mark.parametrize("dtype, tasks", [(np.float32, 1), (np.float64, 0)])

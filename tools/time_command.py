@@ -7,11 +7,12 @@ A benchmark run times `eval` on 3 clips, so one run's `eval_clips_per_s`
 reads mostly the host's drift; this times the command alone, as often as
 asked. Each run starts a new interpreter with the checkout's `src` as
 PYTHONPATH and OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1, as bench/run.py sets
-them, and times `stutterkit.cli.main(argv)` (interpreter start and imports
-excluded) and counts the minor page faults (ru_minflt) taken inside that
-call. After `main` returns, the run reads its own VmHWM (peak resident
-memory) from /proc/self/status: unlike ru_maxrss, which a child inherits
-from the process that forked it, VmHWM starts afresh at exec, so it is the
+them, and with glibc's mmap and trim thresholds fixed (MALLOC_FIXED). It
+times `stutterkit.cli.main(argv)` (interpreter start and imports excluded)
+and counts the minor page faults (ru_minflt) taken inside that call. After
+`main` returns, the run reads its own VmHWM (peak resident memory) from
+/proc/self/status: unlike ru_maxrss, which a child inherits from the
+process that forked it, VmHWM starts afresh at exec, so it is the
 command's own peak. `{out}` in the argv becomes a fresh directory per run.
 The side that runs first alternates from pair to pair. Prints each side's
 median and quartiles of the time, its median VmHWM (n/a without /proc) and
@@ -37,6 +38,12 @@ from pathlib import Path
 from bench_pairs import quartiles  # run as a script, this file's directory is on sys.path
 
 SKIPPED = "run_manifest.json"
+# glibc raises its mmap and trim thresholds as a process frees large blocks,
+# so VmHWM follows each run's allocation history, and even the checkout's
+# path. Fixed at 128 KiB, a no-op change's VmHWM gap fell from 1.6 to 0.23 MB.
+# Every block of 128 KiB or more is then mapped afresh, so time and minor
+# faults read above a run with glibc's defaults: compare the two sides only.
+MALLOC_FIXED = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
 _TIMED = (
     "import json, resource, sys, time\n"
     "from stutterkit.cli import main\n"
@@ -67,7 +74,7 @@ def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, float 
     work.mkdir()
     out, seconds = work / "out", work / "seconds"
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **MALLOC_FIXED)
     proc = subprocess.run(
         [sys.executable, "-c", _TIMED, str(seconds), *(a.replace("{out}", str(out)) for a in argv)],
         env=env, capture_output=True, text=True,
