@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 runtime failure (an OSError, or a ValueError: every
 bad-data error the library raises is one), 2 usage or configuration error
 (USAGE_ERRORS, caught first). Every run that writes artifacts also writes a
 run_manifest.json recording the command, resolved-config digest, seed, input
-paths, and a sha256 digest per output file. Timestamps appear only in the
-run manifest, so reruns with the same inputs and seed are byte-identical
-everywhere else.
+paths, a sha256 digest per output file, and what the command cost from after
+argument parsing to after that hashing (_run_cost). Timestamps and costs
+appear only in the run manifest, so reruns with the same inputs and seed are
+byte-identical everywhere else.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from . import __version__
 from . import curation, featurizer, model, trainer
 from .evaluator import check_threshold, f1_report, predict
 from .headers import write_json
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 
 class UsageError(Exception):
@@ -138,6 +144,7 @@ def _write_run_manifest(
     inputs: list[Path],
     outputs: list[Path],
     seed: int | None,
+    started: tuple[float, int | None],
     extra: dict | None = None,
 ) -> None:
     write_json(out_dir / "run_manifest.json", {
@@ -149,7 +156,7 @@ def _write_run_manifest(
         "seed": seed,
         "timestamp": time.time(),
         "version": __version__,
-        "extra": extra or None,
+        "extra": {**(extra or {}), **_run_cost(started)},  # after the outputs are hashed
     })
 
 
@@ -166,14 +173,18 @@ def _vmhwm_mb() -> float | None:
         return None
 
 
-def _model_run_extra(start: float) -> dict:
-    """For the run manifests of the commands that run the model: the model's
-    worker-thread count and the BLAS thread variables that picked it, the
-    wall seconds since `start` (a perf_counter reading) and the process's
-    peak resident memory in MB (None without /proc)."""
-    return {"gemm_workers": model.gemm_workers(),
-            "blas_thread_env": {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS},
-            "wall_s": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
+def _minor_faults() -> int | None:
+    """The minor page faults this process has taken, or None without `resource`."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _run_cost(started: tuple[float, int | None]) -> dict:
+    """Wall seconds and minor faults since main's `started` reading, VmHWM in
+    MB and the thread setup; None where the platform gives no number."""
+    wall_s, faults = time.perf_counter() - started[0], _minor_faults()
+    return {"wall_s": wall_s, "minor_faults": None if faults is None else faults - started[1],
+            "vmhwm_mb": _vmhwm_mb(), "gemm_workers": model.gemm_workers(),
+            "blas_thread_env": {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +217,8 @@ def cmd_featurize(args) -> int:
         outputs.append(dump)
     _write_run_manifest(
         out_dir, "featurize", _config_digest(model_cfg, train_cfg, feat_cfg),
-        wavs, outputs, seed=None, extra={"skipped": skipped} if skipped else None,
+        wavs, outputs, seed=None, started=args.started,
+        extra={"skipped": skipped} if skipped else None,
     )
     print(f"featurized {len(outputs)} of {len(wavs)} clips -> {out_dir}")
     return 0
@@ -252,7 +264,7 @@ def cmd_curate(args) -> int:
     outputs += [counts_path, rejections_path]
     _write_run_manifest(
         out_dir, "curate", "-", [Path(args.inventory), audio_dir], outputs,
-        seed=args.seed,
+        seed=args.seed, started=args.started,
         extra={"plan": plan.name, "kept": len(kept), "pairs": len(pairs),
                "after_balance": len(balanced)},
     )
@@ -301,7 +313,6 @@ def _check_frame_count(feat_cfg, model_cfg) -> None:
 
 
 def cmd_train(args) -> int:
-    start = time.perf_counter()
     model_cfg, train_cfg, feat_cfg = _resolve_configs(args.config)
     freeze = model.parse_freeze_spec(args.freeze, model_cfg.n_layers)
     _check_frame_count(feat_cfg, model_cfg)
@@ -329,9 +340,9 @@ def cmd_train(args) -> int:
     _write_run_manifest(
         out_dir, "train", _config_digest(model_cfg, train_cfg, feat_cfg),
         [Path(args.train_manifest), Path(args.val_manifest)],
-        [ckpt_path, history_path], seed=args.seed,
+        [ckpt_path, history_path], seed=args.seed, started=args.started,
         extra={"freeze": args.freeze, "trainable_parameters": n_trainable,
-               "epochs_run": len(history), **_model_run_extra(start)},
+               "epochs_run": len(history)},
     )
     last = history[-1]
     print(
@@ -342,7 +353,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    start = time.perf_counter()
     _, train_cfg, feat_cfg = _resolve_configs(args.config)
     thresholds = args.threshold or [train_cfg.threshold]
     try:
@@ -381,7 +391,7 @@ def cmd_eval(args) -> int:
     _write_run_manifest(
         out_dir, "eval", _config_digest(model_cfg, train_cfg, feat_cfg),
         [Path(args.checkpoint), Path(args.test_manifest)], outputs, seed=None,
-        extra={"thresholds": thresholds, **_model_run_extra(start)},
+        started=args.started, extra={"thresholds": thresholds},
     )
     return 0
 
@@ -479,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = (time.perf_counter(), _minor_faults())
     try:
         return args.func(args)
     except USAGE_ERRORS as e:

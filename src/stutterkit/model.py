@@ -378,11 +378,12 @@ class _Task:
                     from concurrent.futures import ThreadPoolExecutor
 
                     _pool = ThreadPoolExecutor(1, thread_name_prefix="stutterkit-gemm")
-                self.future = _pool.submit(self.call)
+                self.future = _pool.submit(lambda: self.call())
 
     def wait(self):
         if self.future is None or self.future.cancel():
-            return self.call()
+            call, self.call = self.call, None  # a cancelled task waits in the queue: let its arrays go
+            return call()
         return self.future.result()
 
 

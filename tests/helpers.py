@@ -19,6 +19,7 @@ import wave
 
 import numpy as np
 
+from stutterkit import model
 from stutterkit.featurizer import (
     HOP,
     LOG_FLOOR,
@@ -425,6 +426,13 @@ def traced_memory(fn, runs: int = 2) -> tuple[int, int]:
         readings.append((held - start, peak - start))
         del result
     return min(held for held, _ in readings), min(peak for _, peak in readings)
+
+
+def set_worker(monkeypatch, on):
+    """Force the model's worker thread on or off (None: the rule decides
+    again); the test's pool goes when the test ends."""
+    monkeypatch.setattr(model, "_use_worker", on)
+    monkeypatch.setattr(model, "_pool", None)
 
 
 _TemporaryFile = tempfile.TemporaryFile  # tests patch the module's

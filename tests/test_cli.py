@@ -437,28 +437,43 @@ def test_train_artifacts_and_log(pipeline, capsys):
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["freeze"] == "Frz0-1+FrzFE"
     assert manifest["extra"]["trainable_parameters"] == 314  # head only at this width
-    _assert_model_run_extra(manifest)
+    _assert_run_cost(manifest)
 
 
-def _assert_model_run_extra(manifest):
-    """The commands that run the model record their thread setup, their wall
-    time and their peak resident memory (null without /proc)."""
-    assert manifest["extra"]["gemm_workers"] == model.gemm_workers()
-    assert manifest["extra"]["blas_thread_env"] == {
-        name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}
-    assert isinstance(manifest["extra"]["wall_s"], float) and manifest["extra"]["wall_s"] > 0
+def _assert_run_cost(manifest):
+    """Every command that writes a run manifest records its wall time, its
+    minor page faults, its peak resident memory (null without /proc) and
+    its thread setup."""
+    extra = manifest["extra"]
+    assert extra["gemm_workers"] == model.gemm_workers()
+    assert extra["blas_thread_env"] == {name: os.environ.get(name) for name in model.BLAS_THREAD_VARS}
+    assert isinstance(extra["wall_s"], float) and extra["wall_s"] > 0
+    assert isinstance(extra["minor_faults"], int) and extra["minor_faults"] >= 0
     if Path(cli.PROC_STATUS).exists():
-        assert isinstance(manifest["extra"]["vmhwm_mb"], float) and manifest["extra"]["vmhwm_mb"] > 0
+        assert isinstance(extra["vmhwm_mb"], float) and extra["vmhwm_mb"] > 0
     else:
-        assert manifest["extra"]["vmhwm_mb"] is None
+        assert extra["vmhwm_mb"] is None
+
+
+def test_featurize_and_curate_record_their_cost(pipeline, tmp_path):
+    _, data_dir, _, _ = pipeline
+    _assert_run_cost(json.loads((data_dir / "run_manifest.json").read_text()))
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_tone_wav(in_dir / "clip.wav", 2.0, 440.0)
+    assert main(["featurize", str(in_dir), str(tmp_path / "out")]) == 0
+    _assert_run_cost(json.loads((tmp_path / "out" / "run_manifest.json").read_text()))
 
 
 def test_peak_memory_reads_null_without_proc(monkeypatch, tmp_path):
+    """The peak memory reads null without /proc, the minor faults without `resource`."""
     monkeypatch.setattr(cli, "PROC_STATUS", str(tmp_path / "missing"))
-    assert cli._model_run_extra(0.0)["vmhwm_mb"] is None
+    assert cli._run_cost((0.0, 0))["vmhwm_mb"] is None
     (tmp_path / "status").write_text("Name:\tpython\nVmHWM:\t  2048 kB\n")
     monkeypatch.setattr(cli, "PROC_STATUS", str(tmp_path / "status"))
-    assert cli._model_run_extra(0.0)["vmhwm_mb"] == 2.0
+    assert cli._run_cost((0.0, 0))["vmhwm_mb"] == 2.0
+    monkeypatch.setattr(cli, "resource", None)
+    assert cli._run_cost((0.0, None))["minor_faults"] is None
 
 
 def test_train_exits_one_when_the_best_epoch_snapshot_cannot_be_written(
@@ -772,7 +787,7 @@ def test_eval_threshold_defaults_to_the_config_threshold(pipeline, tmp_path):
     assert json.loads((eval_dir / "eval_t0.3.json").read_text())["threshold"] == 0.3
     manifest = json.loads((eval_dir / "run_manifest.json").read_text())
     assert manifest["extra"]["thresholds"] == [0.3]
-    _assert_model_run_extra(manifest)
+    _assert_run_cost(manifest)
 
 
 @pytest.mark.parametrize("threshold", ["nan", "2", "-1"])
@@ -941,6 +956,31 @@ def test_time_command_fixes_glibc_thresholds_for_the_timed_child_only(monkeypatc
         tool.run_once(tmp_path, ["eval"], tmp_path / "work")
     assert seen["MALLOC_MMAP_THRESHOLD_"] == seen["MALLOC_TRIM_THRESHOLD_"] == "131072"
     assert "MALLOC_MMAP_THRESHOLD_" not in os.environ and "MALLOC_TRIM_THRESHOLD_" not in os.environ
+
+
+def test_time_command_reads_the_cost_from_the_run_manifest(monkeypatch, tmp_path):
+    """run_once returns the wall time, VmHWM and minor faults the command
+    wrote to its run manifest, and the digests of its other outputs; a
+    manifest without them fails the run."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))  # time_command imports bench_pairs
+    tool = load_tool(tools / "time_command.py")
+    cost = {"wall_s": 0.5, "vmhwm_mb": 133.5, "minor_faults": 31_000}
+
+    def command(argv, **kwargs):
+        out = Path(argv[-1])
+        out.mkdir()
+        (out / "report.txt").write_text("scores\n")
+        (out / "run_manifest.json").write_text(json.dumps({"extra": {"thresholds": [0.5], **cost}}))
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(tool.subprocess, "run", command)
+    took, peak, faults, digests = tool.run_once(tmp_path, ["eval", "{out}"], tmp_path / "a")
+    assert (took, peak, faults) == (0.5, 133.5, 31_000)
+    assert digests == {"report.txt": hashlib.sha256(b"scores\n").hexdigest()}
+    del cost["minor_faults"]
+    with pytest.raises(tool.RunFailed, match="lacks wall_s"):
+        tool.run_once(tmp_path, ["eval", "{out}"], tmp_path / "b")
 
 
 def test_eval_mel_width_mismatch_is_usage_error(pipeline, tmp_path, capsys):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from helpers import (
     oracle_encoder_layer,
     oracle_forward,
     rewrite_header,
+    set_worker,
     tiny_model_config,
     traced_memory,
     without,
@@ -1176,12 +1178,6 @@ def test_paper_scale_forward_after_load_checkpoint_reuses_its_pages(tmp_path):
 # The worker thread
 
 
-def _set_worker(monkeypatch, on):
-    """Force the worker on or off; the test's pool goes when the test ends."""
-    monkeypatch.setattr(model_mod, "_use_worker", on)
-    monkeypatch.setattr(model_mod, "_pool", None)
-
-
 def _fwd_bwd(x, reg, cfg):
     logits, cache = forward_with_cache(x, reg, cfg)
     return [logits, forward(x, reg, cfg), forward(forward_prefix(x, reg, cfg, 1), reg, cfg),
@@ -1206,7 +1202,7 @@ def test_worker_on_and_off_give_the_same_bits(placement, activation, dtype, monk
     x = np.random.default_rng(55).uniform(-1, 1, size=(cfg.n_mels, 8))
     runs = []
     for on in (False, True):
-        _set_worker(monkeypatch, on)
+        set_worker(monkeypatch, on)
         runs.append(_fwd_bwd(x, reg, cfg))
     assert model_mod._pool is not None  # the worker started
     _assert_same_bits(*runs)
@@ -1219,7 +1215,7 @@ def test_paper_scale_worker_on_and_off_give_the_same_bits(monkeypatch):
     x = np.random.default_rng(57).uniform(-1, 1, size=(cfg.n_mels, 600)).astype(np.float32)
     runs = []
     for on in (False, True):
-        _set_worker(monkeypatch, on)
+        set_worker(monkeypatch, on)
         runs.append(_fwd_bwd(x, reg, cfg))
     _assert_same_bits(*runs)
 
@@ -1232,7 +1228,7 @@ def test_short_clips_give_the_same_bits_with_the_worker_on_and_off(dtype, monkey
     reg = build_registry(cfg, seed=60, dtype=dtype)
     rng = np.random.default_rng(61)
     dlogits = np.linspace(-0.5, 0.5, 6)
-    _set_worker(monkeypatch, True)  # one pool for the test; the loop only switches the rule
+    set_worker(monkeypatch, True)  # one pool for the test; the loop only switches the rule
     for n_pos in [*range(1, 41), 150, 300, 1500]:
         x = rng.uniform(-1, 1, size=(cfg.n_mels, 2 * n_pos))
         runs = []
@@ -1267,7 +1263,7 @@ def test_the_worker_runs_one_row_half_of_every_forward_product(monkeypatch):
         def wait(self):
             return self.future.result(timeout=60)
 
-    _set_worker(monkeypatch, True)
+    set_worker(monkeypatch, True)
     monkeypatch.setattr(model_mod, "_Task", OnWorker)
     forward(x, reg, cfg)
     on_worker = [fn for ident, fn in ran if ident != threading.get_ident()]
@@ -1301,7 +1297,7 @@ def test_with_the_worker_off_the_heads_run_once_whole(monkeypatch):
 
         split_work(logged, n)
 
-    _set_worker(monkeypatch, False)
+    set_worker(monkeypatch, False)
     monkeypatch.setattr(model_mod, "_split_work", logged_split_work)
     _, cache = forward_with_cache(x, reg, cfg)
     backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
@@ -1319,7 +1315,7 @@ def test_with_the_worker_off_the_attention_backward_holds_one_scratch(monkeypatc
     t, d, n_heads = 300, 8, 2
     rng = np.random.default_rng(65)
     q, k, v, dctx = (rng.normal(size=(t, d)) for _ in range(4))
-    _set_worker(monkeypatch, False)
+    set_worker(monkeypatch, False)
     _, cache = _attention_core_fwd(q, k, v, n_heads)
     _, peak = traced_memory(lambda: _attention_core_bwd(dctx, cache, n_heads))
     square = t * t * 8
@@ -1339,7 +1335,7 @@ def test_a_layer_input_gives_the_same_bits_in_c_and_f_order(placement, dtype, on
     c = np.random.default_rng(67).uniform(-1, 1, size=(20, cfg.d_model)).astype(dtype)
     f = np.asfortranarray(c)
     assert not f.flags.c_contiguous
-    _set_worker(monkeypatch, on)
+    set_worker(monkeypatch, on)
     assert np.array_equal(forward(LayerInput(1, f), reg, cfg), forward(LayerInput(1, c), reg, cfg))
     assert np.array_equal(encoder_layer_forward(f, reg, 0, cfg), encoder_layer_forward(c, reg, 0, cfg))
 
@@ -1349,7 +1345,7 @@ def test_only_a_float32_gelu_runs_a_row_half_on_the_worker(dtype, tasks, monkeyp
     """float64 erf builds a Python object array, which the worker must not
     allocate, so a float64 GELU runs whole here; its bits do not change."""
     z = np.random.default_rng(64).uniform(-4, 4, size=(2 * model_mod.MIN_SPLIT_ROWS, 24)).astype(dtype)
-    _set_worker(monkeypatch, False)
+    set_worker(monkeypatch, False)
     whole = _gelu_fwd(z)
     submitted = []
 
@@ -1358,7 +1354,7 @@ def test_only_a_float32_gelu_runs_a_row_half_on_the_worker(dtype, tasks, monkeyp
             submitted.append(fn)
             super().__init__(fn, *args, **kwargs)
 
-    _set_worker(monkeypatch, True)
+    set_worker(monkeypatch, True)
     monkeypatch.setattr(model_mod, "_Task", Counted)
     on = _gelu_fwd(z)
     assert len(submitted) == tasks
@@ -1375,7 +1371,7 @@ def test_backward_pass_adds_into_the_accumulators_it_returns(dtype, spec, on, mo
     cfg = tiny_model_config(max_positions=16)
     reg = apply_freeze(build_registry(cfg, seed=65, dtype=dtype), parse_freeze_spec(spec, cfg.n_layers))
     rng = np.random.default_rng(66)
-    _set_worker(monkeypatch, on)
+    set_worker(monkeypatch, on)
     passes = []  # (dlogits, cache) per example; clips of 16 and 5 positions
     for frames in (32, 10):
         _, cache = forward_with_cache(rng.uniform(-1, 1, size=(cfg.n_mels, frames)), reg, cfg)
@@ -1419,7 +1415,7 @@ def test_worker_rule(env, cpus, on, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    _set_worker(monkeypatch, None)
+    set_worker(monkeypatch, None)
     threads = set(threading.enumerate())
     rng = np.random.default_rng(58)
     dy, x, w = (rng.standard_normal(shape) for shape in ((5, 3), (5, 4), (4, 3)))
@@ -1431,7 +1427,7 @@ def test_worker_rule(env, cpus, on, monkeypatch):
 
 def test_a_product_the_worker_has_not_started_runs_on_the_caller(monkeypatch):
     """A busy or unscheduled worker does not stall the caller."""
-    _set_worker(monkeypatch, True)
+    set_worker(monkeypatch, True)
     release = threading.Event()
     busy = model_mod._Task(release.wait, 30)
     try:
@@ -1441,11 +1437,28 @@ def test_a_product_the_worker_has_not_started_runs_on_the_caller(monkeypatch):
     assert busy.wait() is True
 
 
+def test_a_task_the_caller_ran_holds_no_array_while_it_waits_in_the_queue(monkeypatch):
+    """The worker's queue keeps a task the caller ran itself until the worker
+    reaches it, so the task lets its arrays go once it has run."""
+    set_worker(monkeypatch, True)
+    release = threading.Event()
+    busy = model_mod._Task(release.wait, 30)
+    try:
+        x = np.ones((4, 4))
+        x_ref = weakref.ref(x)
+        model_mod._Task(np.matmul, x, x, out=np.empty_like(x)).wait()
+        del x
+        assert x_ref() is None
+    finally:
+        release.set()
+    assert busy.wait() is True
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
     """The parent's worker thread does not exist in a forked child: the
     child's products run on a worker of its own. Budget 60 s."""
-    _set_worker(monkeypatch, True)
+    set_worker(monkeypatch, True)
     rng = np.random.default_rng(59)
     dy, x, w = (rng.standard_normal(shape) for shape in ((50, 30), (50, 40), (40, 30)))
     want = _linear_bwd(dy, x, w)

@@ -16,6 +16,7 @@ from helpers import (
     finite_diff_check,
     hand_adam_trace,
     naive_bce,
+    set_worker,
     tiny_model_config,
     traced_memory,
 )
@@ -693,29 +694,41 @@ def test_fit_keeps_no_copy_of_frozen_tensors(monkeypatch):
     """Between steps fit holds Adam moments and the validation prefix outputs
     (the best epoch's trainable tensors wait in a temporary file), and returns
     the registry it trained, so traced memory stays far below one copy of the
-    frozen weights."""
-    reg = _freeze("Frz0-1+FrzFE", seed=59, cfg=WIDE_FFN)
-    frozen_bytes = sum(e.value.nbytes for _, e in reg.items() if not e.trainable)
-    trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
-    assert frozen_bytes > 50 * trainable_bytes
+    frozen weights, with the worker off and on. An untraced fit first starts
+    what a process starts once (the worker thread, lazily imported modules).
+    Each reading waits for the worker to drain its queue, where the tasks the
+    caller ran itself wait (holding no array) until the worker gets the GIL."""
     held = []
     real = trainer_mod.evaluate_split
 
-    def traced_evaluate_split(*args):
+    def reading():
+        if model_mod._pool is not None:
+            model_mod._pool.submit(int).result()
         held.append(tracemalloc.get_traced_memory()[0])
+
+    def traced_evaluate_split(*args):
+        reading()
         return real(*args)
 
     monkeypatch.setattr(trainer_mod, "evaluate_split", traced_evaluate_split)
     cfg = TrainConfig(learning_rate=1e-2, batch_size=2, max_epochs=3, early_stop_patience=3)
     train, val = _examples(2, cfg=WIDE_FFN, seed=60), _examples(2, cfg=WIDE_FFN, seed=61)
-    tracemalloc.start()
-    try:
-        best, history = fit(train, val, reg, WIDE_FFN, cfg)
-        held.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert best is reg and len(history) == 3
-    assert max(held) < frozen_bytes / 10, (held, frozen_bytes)
+    for on in (False, True):
+        set_worker(monkeypatch, on)
+        reg = _freeze("Frz0-1+FrzFE", seed=59, cfg=WIDE_FFN)
+        frozen_bytes = sum(e.value.nbytes for _, e in reg.items() if not e.trainable)
+        trainable_bytes = sum(e.value.nbytes for _, e in reg.items() if e.trainable)
+        assert frozen_bytes > 50 * trainable_bytes
+        fit(train, val, reg, WIDE_FFN, cfg)
+        held.clear()
+        tracemalloc.start()
+        try:
+            best, history = fit(train, val, reg, WIDE_FFN, cfg)
+            reading()
+        finally:
+            tracemalloc.stop()
+        assert best is reg and len(history) == 3
+        assert max(held) < frozen_bytes / 10, (on, held, frozen_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,22 @@
 
 A benchmark run times `eval` on 3 clips, so one run's `eval_clips_per_s`
 reads mostly the host's drift; this times the command alone, as often as
-asked. Each run starts a new interpreter with the checkout's `src` as
-PYTHONPATH and OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1, as bench/run.py sets
-them, and with glibc's mmap and trim thresholds fixed (MALLOC_FIXED). It
-times `stutterkit.cli.main(argv)` (interpreter start and imports excluded)
-and counts the minor page faults (ru_minflt) taken inside that call. After
-`main` returns, the run reads its own VmHWM (peak resident memory) from
-/proc/self/status: unlike ru_maxrss, which a child inherits from the
-process that forked it, VmHWM starts afresh at exec, so it is the
-command's own peak. `{out}` in the argv becomes a fresh directory per run.
+asked. Each run is `python -m stutterkit.cli ARGV` with the checkout's `src`
+as PYTHONPATH and OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1, as bench/run.py
+sets them, and with glibc's mmap and trim thresholds fixed (MALLOC_FIXED).
+The tool takes no reading of its own. It reads the cost the command records
+in {out}/run_manifest.json: its wall seconds and minor page faults from
+after argument parsing to after its outputs are hashed (interpreter start
+and imports excluded), and the process's VmHWM, its peak resident memory
+(null without /proc), which unlike ru_maxrss starts afresh at exec. A run
+whose manifest lacks any of the three fails, as it does in a checkout from
+before `curate` and `featurize` recorded their cost and every command its
+faults. `{out}` in the argv becomes a fresh directory per run.
 The side that runs first alternates from pair to pair. Prints each side's
 median and quartiles of the time, its median VmHWM (n/a without /proc) and
 median minor faults, and the pairs each side won on each (the lower value
 wins). Exits 1 if a run fails, or if any file a run writes under `{out}`,
-other than run_manifest.json (which holds wall times), differs in bytes
+other than run_manifest.json (which holds the costs), differs in bytes
 from the first parent run's.
 """
 
@@ -44,49 +46,32 @@ SKIPPED = "run_manifest.json"
 # Every block of 128 KiB or more is then mapped afresh, so time and minor
 # faults read above a run with glibc's defaults: compare the two sides only.
 MALLOC_FIXED = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
-_TIMED = (
-    "import json, resource, sys, time\n"
-    "from stutterkit.cli import main\n"
-    "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-    "start = time.perf_counter()\n"
-    "rc = main(sys.argv[2:])\n"
-    "took = time.perf_counter() - start\n"
-    "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults\n"
-    "try:\n"
-    "    with open('/proc/self/status') as f:\n"
-    "        hwm = next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
-    "except (OSError, StopIteration):\n"
-    "    hwm = None\n"
-    "open(sys.argv[1], 'w').write(json.dumps([took, hwm, faults]))\n"
-    "sys.exit(rc)\n"
-)
 
 
 class RunFailed(RuntimeError):
-    """The command exited non-zero."""
+    """The command exited non-zero, or its run manifest records no cost."""
 
 
-def run_once(checkout: Path, argv: list[str], work: Path) -> tuple[float, float | None, int, dict[str, str]]:
-    """Seconds spent in cli.main, the run's VmHWM in MB (kB / 1024, None
-    without /proc), the minor faults it took in cli.main, and the sha256 of
-    each file the run wrote under {out} (SKIPPED aside), keyed by its path
-    there."""
-    work.mkdir()
-    out, seconds = work / "out", work / "seconds"
+def run_once(checkout: Path, argv: list[str], out: Path) -> tuple[float, float | None, int, dict[str, str]]:
+    """Run the command with `out` for {out}. Returns its wall seconds, VmHWM
+    in MB (None without /proc) and minor faults, as its run manifest records
+    them, and the sha256 of each other file it wrote there, keyed by path."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **MALLOC_FIXED)
     proc = subprocess.run(
-        [sys.executable, "-c", _TIMED, str(seconds), *(a.replace("{out}", str(out)) for a in argv)],
+        [sys.executable, "-m", "stutterkit.cli", *(a.replace("{out}", str(out)) for a in argv)],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
         raise RunFailed(f"{checkout}: exit status {proc.returncode}: {tail[0]}")
+    cost = json.loads((out / SKIPPED).read_text(encoding="utf-8"))["extra"] or {}
+    if not {"wall_s", "vmhwm_mb", "minor_faults"} <= cost.keys():
+        raise RunFailed(f"{checkout}: {SKIPPED} lacks wall_s, vmhwm_mb or minor_faults")
     files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != SKIPPED)
     digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-    took, hwm_kb, faults = json.loads(seconds.read_text())
-    shutil.rmtree(work)
-    return took, None if hwm_kb is None else hwm_kb / 1024, faults, digests
+    shutil.rmtree(out)
+    return cost["wall_s"], cost["vmhwm_mb"], cost["minor_faults"], digests
 
 
 def spread(times: list[float]) -> str:
