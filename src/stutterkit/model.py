@@ -567,13 +567,12 @@ def _layer_norm_fwd(x, gamma, beta):
     return y, (xhat, inv_std)
 
 
-def _layer_norm_bwd(dy, cache, gamma):
-    """(dx, dgamma, dbeta) for a [T x d] dy; dx is None, and costs nothing,
-    when gamma is None (an input whose gradient no caller reads)."""
+def _layer_norm_bwd(dy, cache, gamma, need_dx=True):
+    """(dx, dgamma, dbeta) for a [T x d] dy; dx is None, and costs nothing, unless need_dx."""
     xhat, inv_std = cache
     dgamma = np.sum(dy * xhat, axis=0)
     dbeta = np.sum(dy, axis=0)
-    if gamma is None:
+    if not need_dx:
         return None, dgamma, dbeta
     dxhat = dy * gamma
     dx = inv_std * (
@@ -598,13 +597,13 @@ def _linear_fwd(x, w, b):
     return out
 
 
-def _linear_bwd(dy, x, w, with_bias=True):
+def _linear_bwd(dy, x, w, with_bias=True, need_dx=True):
     """(dx, dw, db) for _linear_fwd, dw on the worker; dx is None, and costs
-    nothing, when w is None (an input whose gradient no caller reads)."""
+    nothing, unless need_dx."""
     dw = np.empty((x.shape[1], dy.shape[1]), np.result_type(x, dy))
     dw_done = _Task(np.matmul, x.T, dy, out=dw)
     db = dy.sum(axis=0) if with_bias else None
-    dx = None if w is None else dy @ w.T
+    dx = dy @ w.T if need_dx else None
     dw_done.wait()
     return dx, dw, db
 
@@ -753,10 +752,9 @@ def _attn_sublayer_bwd(dout, cache, p, cfg, need_dx=True):
     x, ctx, core_cache = cache
     dctx, dow, dob = _linear_bwd(dout, ctx, p["attn.out.w"])
     dq, dk, dv = _attention_core_bwd(dctx, core_cache, cfg.n_heads)
-    wq, wk, wv = (p[f"attn.{n}.w"] if need_dx else None for n in "qkv")
-    dx_q, dqw, dqb = _linear_bwd(dq, x, wq)
-    dx_k, dkw, _ = _linear_bwd(dk, x, wk, with_bias=False)
-    dx_v, dvw, dvb = _linear_bwd(dv, x, wv)
+    dx_q, dqw, dqb = _linear_bwd(dq, x, p["attn.q.w"], need_dx=need_dx)
+    dx_k, dkw, _ = _linear_bwd(dk, x, p["attn.k.w"], with_bias=False, need_dx=need_dx)
+    dx_v, dvw, dvb = _linear_bwd(dv, x, p["attn.v.w"], need_dx=need_dx)
     grads = {
         "attn.q.w": dqw, "attn.q.b": dqb, "attn.k.w": dkw,
         "attn.v.w": dvw, "attn.v.b": dvb, "attn.out.w": dow, "attn.out.b": dob,
@@ -778,7 +776,7 @@ def _ffn_sublayer_bwd(dout, cache, p, cfg, need_dx=True):
     a, act_grad = act_bwd(z1, s)
     da, dw2, db2 = _linear_bwd(dout, a, p["ffn.w2"])
     dz1 = da * act_grad
-    dx, dw1, db1 = _linear_bwd(dz1, x, p["ffn.w1"] if need_dx else None)
+    dx, dw1, db1 = _linear_bwd(dz1, x, p["ffn.w1"], need_dx=need_dx)
     return dx, {"ffn.w1": dw1, "ffn.b1": db1, "ffn.w2": dw2, "ffn.b2": db2}
 
 
@@ -820,10 +818,10 @@ def _encoder_layer_fwd(x, p, cfg):
 
 
 def _encoder_layer_bwd(dz, cache, p, cfg, need_dx=True):
-    """(input gradient, parameter gradients). With need_dx False the input
-    gradient is None, and the first block skips what only it reads: the
-    residual sum, and its norm's input gradient under pre-norm or its
-    sublayer's under post-norm. (Under pre-norm the sublayer's input
+    """(input gradient, parameter gradients). The input gradient is None,
+    and costs nothing, unless need_dx: the first block then skips what only
+    it reads, the residual sum, and its norm's input gradient under pre-norm
+    or its sublayer's under post-norm. (Under pre-norm the sublayer's input
     gradient feeds the norm's gamma and beta gradients.)"""
     pre = cfg.norm_placement == "pre"
     grads: dict[str, np.ndarray] = {}
@@ -836,7 +834,7 @@ def _encoder_layer_bwd(dz, cache, p, cfg, need_dx=True):
         grads.update(g)
         if pre:
             d_sub_in, grads[f"{norm}.gamma"], grads[f"{norm}.beta"] = _layer_norm_bwd(
-                d_sub_in, ln, gamma if dx_read else None
+                d_sub_in, ln, gamma, need_dx=dx_read
             )
         dz = dz + d_sub_in if dx_read else None
     return dz, grads
@@ -938,6 +936,8 @@ def backward_pass(dlogits, cache, registry, cfg, into=None):
     """Gradients, in the registry's dtype, given d loss / d logits and a
     forward_with_cache cache: for the head and each encoder layer the forward
     ran, and for the stem and embed_positions if it started from a spectrogram.
+    Layer k's input gradient (the head's: k = n_layers) is taken only if a
+    gradient reads it: if the forward ran a layer below k, or the stem.
 
     `into` maps some of those names (a training step's trainable ones) to
     accumulators: each such gradient is added into its accumulator as soon as
@@ -958,17 +958,16 @@ def backward_pass(dlogits, cache, registry, cfg, into=None):
     du = registry["classifier.w"] @ dlogits
     dpooled = registry["projector.w"] @ du
     dg = np.tile(dpooled / n_pos, (n_pos, 1))
-    # The input gradient of layer k (the head's is k = n_layers) is read from
-    # k = lowest up: the first cached layer's only by a stem cache.
-    lowest = cfg.n_layers - len(layer_caches) + (stem_cache is None)
-    gamma = registry["post_encoder_layernorm.gamma"] if lowest <= cfg.n_layers else None
-    dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, gamma)
+    first = cfg.n_layers - len(layer_caches)  # the first layer the forward ran
+    need_dx = [stem_cache is not None or k > first for k in range(cfg.n_layers + 1)]
+    gamma = registry["post_encoder_layernorm.gamma"]
+    dh, dgam, dbet = _layer_norm_bwd(dg, ln_cache, gamma, need_dx=need_dx[cfg.n_layers])
     add({"classifier.w": np.outer(u, dlogits), "classifier.b": dlogits,
          "projector.w": np.outer(pooled, du), "projector.b": du,
          "post_encoder_layernorm.gamma": dgam, "post_encoder_layernorm.beta": dbet})
     for k, layer_cache in zip(range(cfg.n_layers - 1, -1, -1), layer_caches[::-1]):
         dh, layer_grads = _encoder_layer_bwd(
-            dh, layer_cache, _layer_tensors(registry, k), cfg, need_dx=k >= lowest
+            dh, layer_cache, _layer_tensors(registry, k), cfg, need_dx=need_dx[k]
         )
         add(layer_grads, f"layers.{k}.")
         del layer_grads  # before the next layer's backward makes its own

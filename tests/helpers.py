@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -433,6 +434,23 @@ def set_worker(monkeypatch, on):
     again); the test's pool goes when the test ends."""
     monkeypatch.setattr(model, "_use_worker", on)
     monkeypatch.setattr(model, "_pool", None)
+
+
+def watch_model_calls(monkeypatch, names, seen):
+    """Replace each named model function by one that first calls seen(name,
+    arguments), the call's arguments bound by parameter name with defaults
+    filled in (so a backward's need_dx reads the same passed or not), then
+    runs the function."""
+    for name in names:
+        fn = getattr(model, name)
+
+        def watched(*args, _name=name, _fn=fn, _sig=inspect.signature(fn), **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen(_name, bound.arguments)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, watched)
 
 
 _TemporaryFile = tempfile.TemporaryFile  # tests patch the module's

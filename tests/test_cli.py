@@ -936,15 +936,14 @@ def test_time_command_reports_a_missing_peak_as_na(monkeypatch):
     assert tool.pairs_won(peaks) == {"parent": 0, "change": 1}
 
 
-def test_time_command_fixes_glibc_thresholds_for_the_timed_child_only(monkeypatch, tmp_path):
-    """The timed child runs with glibc's mmap and trim thresholds at 128 KiB,
-    so its VmHWM does not follow the heap's history; the tool's own
-    environment keeps what it had."""
+def test_time_command_sets_only_pythonpath_and_blas_threads_for_the_timed_child(monkeypatch, tmp_path):
+    """The timed child runs in the tool's own environment plus the checkout's
+    src as PYTHONPATH and one BLAS thread, as bench/run.py sets it, with
+    nothing else added: glibc's allocator keeps its defaults, as in a
+    benchmark run."""
     tools = Path(__file__).resolve().parents[1] / "tools"
     monkeypatch.syspath_prepend(str(tools))  # time_command imports bench_pairs
     tool = load_tool(tools / "time_command.py")
-    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
-        monkeypatch.delenv(name, raising=False)
     seen = {}
 
     def stopped(argv, env, **kwargs):
@@ -954,8 +953,8 @@ def test_time_command_fixes_glibc_thresholds_for_the_timed_child_only(monkeypatc
     monkeypatch.setattr(tool.subprocess, "run", stopped)
     with pytest.raises(tool.RunFailed):
         tool.run_once(tmp_path, ["eval"], tmp_path / "work")
-    assert seen["MALLOC_MMAP_THRESHOLD_"] == seen["MALLOC_TRIM_THRESHOLD_"] == "131072"
-    assert "MALLOC_MMAP_THRESHOLD_" not in os.environ and "MALLOC_TRIM_THRESHOLD_" not in os.environ
+    assert seen == dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+                        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 def test_time_command_reads_the_cost_from_the_run_manifest(monkeypatch, tmp_path):

@@ -28,6 +28,7 @@ from helpers import (
     set_worker,
     tiny_model_config,
     traced_memory,
+    watch_model_calls,
     without,
 )
 from stutterkit.model import (
@@ -867,32 +868,32 @@ def test_a_cache_from_a_layer_input_holds_no_stem():
 @pytest.mark.parametrize("placement", ["pre", "post"])
 def test_backward_takes_only_the_input_gradients_a_gradient_reads(placement, monkeypatch):
     """Counted, not timed: from a spectrogram every layer's input gradient is
-    taken. From layer k's input, layer k's is not, and neither is the head's
-    when no layer ran: the first layer skips its q/k/v input-gradient products
-    under post-norm and its attention norm's input gradient under pre-norm
-    (where the q/k/v ones feed that norm's gamma and beta)."""
+    taken, and conv2's, but not conv1's (the spectrogram's). From layer k's
+    input, layer k's is not, and neither is the head's when no layer ran: the
+    first layer skips its q/k/v input-gradient products under post-norm and
+    its attention norm's input gradient under pre-norm (where the q/k/v ones
+    feed that norm's gamma and beta)."""
     cfg = tiny_model_config(n_layers=3, norm_placement=placement)
     reg = build_registry(cfg, seed=52)
     x = np.random.default_rng(53).uniform(-1, 1, size=(cfg.n_mels, 8))
-    taken = {"_linear_bwd": 0, "_layer_norm_bwd": 0}
-    for name in taken:
-        def counted(dy, cache_or_x, w_or_gamma, *rest, _name=name, _fn=getattr(model_mod, name),
-                    **kw):
-            taken[_name] += w_or_gamma is not None  # None: no input gradient
-            return _fn(dy, cache_or_x, w_or_gamma, *rest, **kw)
-        monkeypatch.setattr(model_mod, name, counted)
+    taken = dict.fromkeys(["_linear_bwd", "_layer_norm_bwd", "_conv_bwd"], 0)
+
+    def count(name, args):
+        taken[name] += args["need_dx"]
+
+    watch_model_calls(monkeypatch, taken, count)
     pre = placement == "pre"
     for k in [None, *range(cfg.n_layers + 1)]:
         taken.update(dict.fromkeys(taken, 0))
         if k is None:
             _, cache = forward_with_cache(x, reg, cfg)
             backward_pass(np.linspace(-0.5, 0.5, 6), cache, reg, cfg)
-            want = (6 * cfg.n_layers, 2 * cfg.n_layers + 1)
+            want = (6 * cfg.n_layers, 2 * cfg.n_layers + 1, 1)
         else:
             _grads_from_layer(x, reg, cfg, k)
             n = cfg.n_layers - k
-            want = (6 * n - 3 * (not pre), 2 * n + (not pre)) if n else (0, 0)
-        assert (taken["_linear_bwd"], taken["_layer_norm_bwd"]) == want, k
+            want = (6 * n - 3 * (not pre), 2 * n + (not pre), 0) if n else (0, 0, 0)
+        assert (taken["_linear_bwd"], taken["_layer_norm_bwd"], taken["_conv_bwd"]) == want, k
 
 
 @pytest.mark.parametrize("placement", ["pre", "post"])

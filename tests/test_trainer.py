@@ -19,12 +19,14 @@ from helpers import (
     set_worker,
     tiny_model_config,
     traced_memory,
+    watch_model_calls,
 )
 from stutterkit.evaluator import sigmoid
 from stutterkit.model import (
     FEATURE_EXTRACTOR,
     HEAD,
     FreezeConfig,
+    ModelConfig,
     NonFiniteInput,
     ParameterRegistry,
     apply_freeze,
@@ -417,6 +419,52 @@ def test_a_backward_holds_each_trainable_gradient_about_once():
     backward(batch, reg, WIDE_D)  # warm-up: first-call allocations stay out of the peak
     _, peak = traced_memory(lambda: backward(batch, reg, WIDE_D))
     assert peak < 1.6 * trainable_bytes, (peak, trainable_bytes)
+
+
+def _work(cfg, frames):
+    """One example's multiply-adds as the README states them: (forward,
+    weight gradients, input gradients, attention backward), for a
+    spectrogram of `frames` frames, so t = frames / 2 positions. conv1's
+    input is the spectrogram, so it takes no input gradient; the head's
+    products (under 1 M at paper scale) are not counted."""
+    t, d, n = frames // 2, cfg.d_model, cfg.n_layers
+    conv1, conv2 = 3 * frames * cfg.n_mels * d, 3 * t * d * d
+    linear = 4 * t * d * d + 2 * t * d * cfg.d_ffn  # q, k, v, out and the two FFN products
+    attention = 2 * t * t * d  # scores and context
+    return (conv1 + conv2 + n * (linear + attention), conv1 + conv2 + n * linear,
+            conv2 + n * linear, n * 2 * attention)
+
+
+_MULTIPLY_ADDS = {  # per call of each product op; a backward's input gradient only if need_dx
+    "_linear_fwd": lambda a: len(a["x"]) * a["w"].size,
+    "_linear_bwd": lambda a: len(a["x"]) * a["w"].size * (1 + a["need_dx"]),
+    "_conv_fwd": lambda a: len(a["x"]) // a["stride"] * a["w"].size,
+    "_conv_bwd": lambda a: len(a["cols"]) * a["w"].size * (1 + a["need_dx"]),
+    "_attention_core_fwd": lambda a: 2 * len(a["q"]) * len(a["k"]) * a["q"].shape[1],
+    "_attention_core_bwd": lambda a: 4 * len(a["dctx"]) ** 2 * a["dctx"].shape[1],
+}
+
+
+def test_a_step_does_the_work_the_formula_gives_under_every_audit_spec(monkeypatch):
+    """Counted, not timed: trainer.backward runs the README's multiply-adds
+    per example under each of the seven audit specs, worker off and on. Every
+    spec does the full count today: a frozen layer's backward still runs."""
+    from stutterkit.cli import PARAM_AUDIT_SPECS
+
+    paper = _work(ModelConfig(), 600)
+    assert paper == (6_524_928_000, 5_971_968_000, 5_898_240_000, 1_105_920_000)
+    assert sum(paper) == 19_501_056_000
+    cfg = tiny_model_config(n_layers=6, max_positions=16)
+    batch = _examples(2, cfg=cfg, seed=62, t=32)
+    done = []
+    watch_model_calls(monkeypatch, _MULTIPLY_ADDS, lambda name, a: done.append(_MULTIPLY_ADDS[name](a)))
+    assert sum(_work(cfg, 32)) == 236_544
+    for on in (False, True):
+        set_worker(monkeypatch, on)
+        for spec in PARAM_AUDIT_SPECS:
+            done.clear()
+            backward(batch, _freeze(spec, seed=63, cfg=cfg), cfg)
+            assert sum(done) == len(batch) * sum(_work(cfg, 32)), (on, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ A benchmark run times `eval` on 3 clips, so one run's `eval_clips_per_s`
 reads mostly the host's drift; this times the command alone, as often as
 asked. Each run is `python -m stutterkit.cli ARGV` with the checkout's `src`
 as PYTHONPATH and OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1, as bench/run.py
-sets them, and with glibc's mmap and trim thresholds fixed (MALLOC_FIXED).
+sets them; glibc's allocator keeps its defaults, as in a benchmark run.
 The tool takes no reading of its own. It reads the cost the command records
 in {out}/run_manifest.json: its wall seconds and minor page faults from
 after argument parsing to after its outputs are hashed (interpreter start
@@ -40,12 +40,6 @@ from pathlib import Path
 from bench_pairs import quartiles  # run as a script, this file's directory is on sys.path
 
 SKIPPED = "run_manifest.json"
-# glibc raises its mmap and trim thresholds as a process frees large blocks,
-# so VmHWM follows each run's allocation history, and even the checkout's
-# path. Fixed at 128 KiB, a no-op change's VmHWM gap fell from 1.6 to 0.23 MB.
-# Every block of 128 KiB or more is then mapped afresh, so time and minor
-# faults read above a run with glibc's defaults: compare the two sides only.
-MALLOC_FIXED = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
 
 
 class RunFailed(RuntimeError):
@@ -57,7 +51,7 @@ def run_once(checkout: Path, argv: list[str], out: Path) -> tuple[float, float |
     in MB (None without /proc) and minor faults, as its run manifest records
     them, and the sha256 of each other file it wrote there, keyed by path."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **MALLOC_FIXED)
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "stutterkit.cli", *(a.replace("{out}", str(out)) for a in argv)],
         env=env, capture_output=True, text=True,
